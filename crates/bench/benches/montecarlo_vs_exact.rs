@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flowrel_bench::{barbell_with_edges, demand_of};
 use flowrel_core::{reliability_bottleneck, reliability_factoring, CalcOptions};
+use montecarlo::{engine, EstimatorKind, McBudget, McSettings, StopTarget};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("montecarlo_vs_exact");
@@ -25,9 +26,21 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("monte_carlo", samples),
             &samples,
             |b, &samples| {
+                let settings = McSettings {
+                    seed: 3,
+                    estimator: EstimatorKind::Crude,
+                    target: StopTarget {
+                        max_samples: samples,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                };
+                let budget = McBudget::unlimited();
                 b.iter(|| {
-                    montecarlo::estimate(&inst.net, inst.source, inst.sink, d.demand, samples, 3)
-                        .unwrap()
+                    engine::run(
+                        &inst.net, d.source, d.sink, d.demand, &settings, &budget, false,
+                    )
+                    .unwrap()
                 })
             },
         );

@@ -8,10 +8,14 @@
 //!                             [--mc-estimator auto|crude|dagger|perm]
 //!                             [--rel-err EPS] [--ci HALF] [--samples N] [--seed S]
 //! flowrel analyze <file.fnet> [--max-k K]
-//! flowrel mc <file.fnet> [--samples N] [--seed S]
 //! flowrel generate <barbell|chain|grid|mesh|slack-barbell|degraded-barbell> [args...]
 //! flowrel dot <file.fnet>
 //! ```
+//!
+//! Every subcommand accepts exactly the flags listed for it; an unknown flag
+//! or a stray argument is a usage error (exit `2`) naming the argument. A
+//! fixed-sample crude estimate is
+//! `compute --strategy mc --mc-estimator crude --samples N --seed S`.
 //!
 //! `--explain` prints the recursive decomposition plan (node kinds, per-node
 //! link counts, predicted sweep cost) before the computation runs, and — when
@@ -84,12 +88,6 @@ impl CliError {
     }
 }
 
-impl From<montecarlo::McError> for CliError {
-    fn from(e: montecarlo::McError) -> Self {
-        CliError::from(ReliabilityError::from(e))
-    }
-}
-
 impl From<ReliabilityError> for CliError {
     fn from(e: ReliabilityError) -> Self {
         CliError {
@@ -108,7 +106,6 @@ fn usage() -> ExitCode {
          {:17}[--mc-estimator auto|crude|dagger|perm] [--rel-err EPS] [--ci HALF] [--samples N] [--seed S]\n  \
          flowrel analyze <file.fnet> [--max-k K]\n  \
          flowrel importance <file.fnet>\n  \
-         flowrel mc <file.fnet> [--samples N] [--seed S]\n  \
          flowrel generate barbell <cluster_nodes> <extra_edges> <k> <demand> <seed>\n  \
          flowrel generate chain <segments> <demand> <seed>\n  \
          flowrel generate grid <w> <h> <seed>\n  \
@@ -121,6 +118,51 @@ fn usage() -> ExitCode {
         ""
     );
     ExitCode::from(2)
+}
+
+/// The flags a subcommand accepts, each with whether it takes a value.
+type Flags = &'static [(&'static str, bool)];
+
+const COMPUTE_FLAGS: Flags = &[
+    ("--strategy", true),
+    ("--exact", false),
+    ("--parallel", false),
+    ("--no-certs", false),
+    ("--no-incremental", false),
+    ("--no-reduce", false),
+    ("--parallel-threshold", true),
+    ("--timeout", true),
+    ("--max-configs", true),
+    ("--max-depth", true),
+    ("--explain", false),
+    ("--hybrid", false),
+    ("--checkpoint", true),
+    ("--resume", true),
+    ("--mc-estimator", true),
+    ("--rel-err", true),
+    ("--ci", true),
+    ("--samples", true),
+    ("--seed", true),
+];
+
+const ANALYZE_FLAGS: Flags = &[("--max-k", true)];
+
+/// Rejects every argument that is not one of `flags` (or the value of one
+/// that takes a value), and a value flag with nothing after it.
+fn check_flags(args: &[String], flags: Flags) -> Result<(), CliError> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match flags.iter().find(|(name, _)| name == arg) {
+            Some((_, true)) => {
+                if rest.next().is_none() {
+                    return Err(CliError::usage(format!("{arg} needs a value")));
+                }
+            }
+            Some((_, false)) => {}
+            None => return Err(CliError::usage(format!("unexpected argument '{arg}'"))),
+        }
+    }
+    Ok(())
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -303,6 +345,7 @@ fn explain_slots(slots: &[flowrel_core::PlanSlotReport]) {
 }
 
 fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
+    check_flags(args, COMPUTE_FLAGS)?;
     let file = load(path)?;
     let demand = demand_of(&file)?;
     let strategy = match flag_value(args, "--strategy").as_deref() {
@@ -496,6 +539,7 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_analyze(path: &str, args: &[String]) -> Result<(), CliError> {
+    check_flags(args, ANALYZE_FLAGS)?;
     let file = load(path)?;
     let net = &file.net;
     println!(
@@ -543,34 +587,16 @@ fn cmd_analyze(path: &str, args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_mc(path: &str, args: &[String]) -> Result<(), CliError> {
-    let file = load(path)?;
-    let demand = demand_of(&file)?;
-    let samples: u64 = flag_value(args, "--samples")
-        .map(|v| v.parse().map_err(|_| CliError::usage("bad --samples")))
-        .transpose()?
-        .unwrap_or(100_000);
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|v| v.parse().map_err(|_| CliError::usage("bad --seed")))
-        .transpose()?
-        .unwrap_or(1);
-    let est = montecarlo::estimate(
-        &file.net,
-        demand.source,
-        demand.sink,
-        demand.demand,
-        samples,
-        seed,
-    )?;
-    let (lo, hi) = est.ci95();
-    println!(
-        "estimate = {:.6}  (95% CI [{lo:.6}, {hi:.6}], {} samples)",
-        est.mean, est.samples
-    );
-    Ok(())
-}
-
 fn cmd_generate(args: &[String]) -> Result<(), CliError> {
+    // each generator takes up to this many positional parameters
+    let arity = match args.first().map(String::as_str) {
+        Some("barbell" | "degraded-barbell") => 5,
+        Some("mesh") => 4,
+        _ => 3,
+    };
+    if let Some(stray) = args.get(arity + 1) {
+        return Err(CliError::usage(format!("unexpected argument '{stray}'")));
+    }
     let parse_or = |i: usize, default: u64| -> u64 {
         args.get(i).and_then(|s| s.parse().ok()).unwrap_or(default)
     };
@@ -663,7 +689,8 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_importance(path: &str) -> Result<(), CliError> {
+fn cmd_importance(path: &str, args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &[])?;
     let file = load(path)?;
     let demand = demand_of(&file)?;
     let imp = birnbaum_importance(&file.net, demand, &CalcOptions::default())?;
@@ -687,7 +714,8 @@ fn cmd_importance(path: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_dot(path: &str) -> Result<(), CliError> {
+fn cmd_dot(path: &str, args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &[])?;
     let file = load(path)?;
     print!("{}", netgraph::dot::to_dot(&file.net, &[]));
     Ok(())
@@ -702,10 +730,9 @@ fn main() -> ExitCode {
     let result = match (cmd.as_str(), rest.first()) {
         ("compute", Some(path)) => cmd_compute(path, &rest[1..]),
         ("analyze", Some(path)) => cmd_analyze(path, &rest[1..]),
-        ("mc", Some(path)) => cmd_mc(path, &rest[1..]),
-        ("importance", Some(path)) => cmd_importance(path),
+        ("importance", Some(path)) => cmd_importance(path, &rest[1..]),
         ("generate", _) => cmd_generate(rest),
-        ("dot", Some(path)) => cmd_dot(path),
+        ("dot", Some(path)) => cmd_dot(path, &rest[1..]),
         _ => return usage(),
     };
     match result {

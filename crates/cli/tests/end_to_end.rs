@@ -84,3 +84,60 @@ fn generated_mesh_roundtrips() {
         assert_eq!(a, b, "probabilities must survive text round-trip exactly");
     }
 }
+
+/// Runs the `flowrel` binary and returns its exit code and stderr.
+fn flowrel(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flowrel"))
+        .args(args)
+        .output()
+        .expect("the flowrel binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn unknown_flags_and_stray_arguments_are_usage_errors() {
+    let inst = workloads::generators::grid(2, 2, 1);
+    let demand = FlowDemand::new(inst.source, inst.sink, 1);
+    let dir = std::env::temp_dir().join(format!("flowrel-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("grid.fnet");
+    std::fs::write(&path, format::serialize(&inst.net, Some(demand))).unwrap();
+    let file = path.to_str().unwrap();
+
+    // a misspelt flag used to run silently with its default
+    let (code, err) = flowrel(&["compute", file, "--no-cert"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("--no-cert"), "{err}");
+    for bad in [
+        &["compute", file, "stray"][..],
+        &["compute", file, "--seed"],
+        &["analyze", file, "--max-depth", "1"],
+        &["dot", file, "--explain"],
+        &["importance", file, "extra"],
+        &["generate", "grid", "3", "3", "1", "9"],
+        &["mc", file],
+    ] {
+        let (code, err) = flowrel(bad);
+        assert_eq!(code, Some(2), "{bad:?}: {err}");
+    }
+    // accepted flags, values included, still run
+    let (code, err) = flowrel(&["compute", file, "--no-certs", "--max-depth", "0"]);
+    assert_eq!(code, Some(0), "{err}");
+    let (code, err) = flowrel(&[
+        "compute",
+        file,
+        "--strategy",
+        "mc",
+        "--mc-estimator",
+        "crude",
+        "--samples",
+        "2000",
+        "--seed",
+        "3",
+    ]);
+    assert_eq!(code, Some(0), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -5,23 +5,26 @@
 //! calls each) → accumulate over the `2^k` bottleneck configurations with
 //! inclusion–exclusion. Total `O(2^{α|E|} · |V||E|)` for constant `d`, `k` —
 //! the paper's headline bound.
+//!
+//! The engine here is unbudgeted and generic over the weight domain: it is
+//! the `f64` and [`BigRational`] reference the tests compare against.
+//! Budgeted, checkpointed runs execute the same split as a `Cut` slot of
+//! the plan interpreter ([`crate::plan`]).
 
 use exactmath::BigRational;
 use netgraph::{EdgeId, Network};
 
-use crate::accumulate::{combine, combine_interval};
+use crate::accumulate::combine;
 use crate::assign::{crossing_ranges, enumerate_assignments, supported_assignment_masks};
 use crate::bottleneck::{validate_bottleneck_set, BottleneckSet};
-use crate::budget::BudgetSentinel;
 use crate::certcache::SweepStats;
-use crate::checkpoint::{SideCheckpoint, SweepCursor};
 use crate::decompose::{decompose, Side};
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::CalcOptions;
 use crate::oracle::SideOracle;
 use crate::spectrum::RealizationSpectrum;
-use crate::sweep::{sweep_spectrum_budgeted, PartialSpectrum, SweepConfig};
+use crate::sweep::SweepConfig;
 use crate::weight::{edge_weights, edge_weights_exact, EdgeWeights, Weight};
 
 /// What the bottleneck algorithm did, for reporting and experiments.
@@ -187,252 +190,6 @@ pub fn reliability_bottleneck_on_set<W: Weight>(
     Ok((r, report(assignments.len(), sweep)))
 }
 
-/// What a budget-aware bottleneck run produced.
-#[derive(Clone, Debug)]
-pub enum BottleneckOutcome {
-    /// The budget sufficed: the exact reliability, identical to what
-    /// [`reliability_bottleneck_on_set`] computes on the same instance.
-    Complete {
-        /// Exact reliability.
-        reliability: f64,
-        /// Run report.
-        report: BottleneckReport,
-    },
-    /// The budget ran out (or the run was cancelled) mid-sweep.
-    Partial {
-        /// Sound lower bound on the reliability.
-        r_low: f64,
-        /// Sound upper bound on the reliability.
-        r_high: f64,
-        /// Fraction of the joint configuration space covered so far (the
-        /// product of the two sides' explored probability mass).
-        explored: f64,
-        /// Source-side resume state.
-        side_s: Box<SideCheckpoint>,
-        /// Sink-side resume state.
-        side_t: Box<SideCheckpoint>,
-        /// Run report for the work done so far.
-        report: BottleneckReport,
-    },
-}
-
-/// Validates a side checkpoint against this decomposition and unpacks it into
-/// the sweep engine's resume form. The checkpoint's `live` set is
-/// authoritative — it records which assignments the interrupted run swept.
-pub(crate) fn side_resume(
-    ck: &SideCheckpoint,
-    which: &str,
-    m: usize,
-    dn: usize,
-) -> Result<(Vec<usize>, PartialSpectrum<f64>), ReliabilityError> {
-    let bad = |reason: String| ReliabilityError::CheckpointMismatch { reason };
-    if ck.cursor.total != 1u64 << m {
-        return Err(bad(format!(
-            "{which} checkpoint enumerates {} configurations, this side {}",
-            ck.cursor.total,
-            1u64 << m
-        )));
-    }
-    if ck.mass.len() != 1usize << dn {
-        return Err(bad(format!(
-            "{which} checkpoint carries {} mask masses, this instance needs {}",
-            ck.mass.len(),
-            1usize << dn
-        )));
-    }
-    if let Some(&j) = ck.live.iter().find(|&&j| j >= dn) {
-        return Err(bad(format!(
-            "{which} checkpoint marks assignment {j} live, only {dn} exist"
-        )));
-    }
-    Ok((
-        ck.live.clone(),
-        PartialSpectrum {
-            mass: ck.mass.clone(),
-            remaining: ck.cursor.remaining.clone(),
-            certs: ck.certs.clone(),
-        },
-    ))
-}
-
-/// Budget-aware bottleneck reliability in `f64`, with checkpoint/resume.
-///
-/// Runs both side sweeps under `opts.budget` (the sweeps share one sentinel,
-/// so the limits apply to the whole calculation). When the budget suffices
-/// the result is `Complete` and — in serial mode — bit-identical to
-/// [`reliability_bottleneck_on_set`]. When it runs out the result is
-/// `Partial`: each side's unexplored probability mass is injected at its
-/// worst-case (empty) and best-case (all live assignments) realization masks,
-/// which by monotonicity of the accumulation brackets the exact reliability
-/// in `[r_low, r_high]`. The returned side checkpoints resume the enumeration
-/// exactly where it stopped: a resumed serial run reproduces the
-/// uninterrupted serial result bit for bit.
-pub fn reliability_bottleneck_anytime(
-    net: &Network,
-    demand: FlowDemand,
-    set: &BottleneckSet,
-    opts: &CalcOptions,
-    resume: Option<(&SideCheckpoint, &SideCheckpoint)>,
-) -> Result<BottleneckOutcome, ReliabilityError> {
-    let sentinel = opts.budget.start();
-    reliability_bottleneck_anytime_on(net, demand, set, opts, &sentinel, resume)
-}
-
-/// As [`reliability_bottleneck_anytime`], but drawing from an externally
-/// owned [`BudgetSentinel`] instead of starting a fresh one from
-/// `opts.budget`, so a plan interpreter can hold several cut sweeps (and
-/// naive leaf sweeps) to one shared budget.
-pub fn reliability_bottleneck_anytime_on(
-    net: &Network,
-    demand: FlowDemand,
-    set: &BottleneckSet,
-    opts: &CalcOptions,
-    sentinel: &BudgetSentinel,
-    resume: Option<(&SideCheckpoint, &SideCheckpoint)>,
-) -> Result<BottleneckOutcome, ReliabilityError> {
-    demand.validate(net)?;
-    if net.has_multistate() {
-        return Err(ReliabilityError::MultiState {
-            operation: "the one-level bottleneck decomposition",
-        });
-    }
-    let report = |count: usize, sweep: SweepStats| BottleneckReport {
-        set: set.clone(),
-        assignment_count: count,
-        alpha: set.alpha(net.edge_count()),
-        sweep,
-        plan_slots: Vec::new(),
-    };
-    if demand.demand == 0 {
-        return Ok(BottleneckOutcome::Complete {
-            reliability: 1.0,
-            report: report(0, SweepStats::default()),
-        });
-    }
-    let ranges = crossing_ranges(
-        net,
-        &set.edges,
-        &set.forward_oriented,
-        demand.demand,
-        opts.assignment_model,
-    );
-    let assignments = enumerate_assignments(demand.demand, &ranges);
-    if assignments.is_empty() {
-        return Ok(BottleneckOutcome::Complete {
-            reliability: 0.0,
-            report: report(0, SweepStats::default()),
-        });
-    }
-    if assignments.len() > opts.max_assignments || assignments.len() > 31 {
-        return Err(ReliabilityError::TooManyAssignments {
-            count: assignments.len(),
-            max: opts.max_assignments.min(31),
-        });
-    }
-    let dn = assignments.len();
-
-    let dec = decompose(net, &demand, set);
-    let k = dec.cut.len();
-    let weights = edge_weights(net);
-    let w_s = side_weights(&dec.side_s, &weights);
-    let w_t = side_weights(&dec.side_t, &weights);
-    let mut oracle_s = SideOracle::new(&dec.side_s, &assignments, opts.solver)?;
-    let mut oracle_t = SideOracle::new(&dec.side_t, &assignments, opts.solver)?;
-    let (m_s, m_t) = (oracle_s.edge_count(), oracle_t.edge_count());
-    for m in [m_s, m_t] {
-        if m > opts.max_side_edges {
-            return Err(ReliabilityError::SideTooLarge {
-                count: m,
-                max: opts.max_side_edges,
-            });
-        }
-    }
-
-    let (live_s, res_s, live_t, res_t) = match resume {
-        Some((cs, ct)) => {
-            let (ls, ps) = side_resume(cs, "source-side", m_s, dn)?;
-            let (lt, pt) = side_resume(ct, "sink-side", m_t, dn)?;
-            (ls, Some(ps), lt, Some(pt))
-        }
-        None => {
-            let live = |o: &mut SideOracle| -> Vec<usize> {
-                (0..dn)
-                    .filter(|&j| !opts.prune_infeasible_assignments || o.feasible_at_best(j))
-                    .collect()
-            };
-            (live(&mut oracle_s), None, live(&mut oracle_t), None)
-        }
-    };
-
-    let cfg = SweepConfig::from_opts(opts);
-    let ((part_s, stats_s), (part_t, stats_t)) = if opts.parallel {
-        rayon::join(
-            || sweep_spectrum_budgeted(&oracle_s, &live_s, &w_s, dn, &cfg, sentinel, res_s),
-            || sweep_spectrum_budgeted(&oracle_t, &live_t, &w_t, dn, &cfg, sentinel, res_t),
-        )
-    } else {
-        (
-            sweep_spectrum_budgeted(&oracle_s, &live_s, &w_s, dn, &cfg, sentinel, res_s),
-            sweep_spectrum_budgeted(&oracle_t, &live_t, &w_t, dn, &cfg, sentinel, res_t),
-        )
-    };
-    let mut sweep = stats_s;
-    sweep.merge(&stats_t);
-
-    let support = supported_assignment_masks(&assignments, k);
-    let cut_weights: Vec<(f64, f64)> = dec.cut.iter().map(|&e| weights[e.index()]).collect();
-
-    if part_s.is_complete() && part_t.is_complete() {
-        let r = combine(
-            &cut_weights,
-            &support,
-            &part_s.mass,
-            &part_t.mass,
-            dn,
-            opts.accumulation,
-        );
-        return Ok(BottleneckOutcome::Complete {
-            reliability: r,
-            report: report(dn, sweep),
-        });
-    }
-
-    let explored_mass = |mass: &[f64]| mass.iter().sum::<f64>().clamp(0.0, 1.0);
-    let live_mask = |live: &[usize]| live.iter().fold(0u32, |a, &j| a | 1 << j);
-    let (sum_s, sum_t) = (explored_mass(&part_s.mass), explored_mass(&part_t.mass));
-    let (lo, hi) = combine_interval(
-        &cut_weights,
-        &support,
-        &part_s.mass,
-        &(1.0 - sum_s).max(0.0),
-        live_mask(&live_s),
-        &part_t.mass,
-        &(1.0 - sum_t).max(0.0),
-        live_mask(&live_t),
-        dn,
-        opts.accumulation,
-    );
-    let r_low = lo.clamp(0.0, 1.0);
-    let r_high = hi.clamp(r_low, 1.0);
-    let side_ck = |m: usize, live: Vec<usize>, p: PartialSpectrum<f64>| SideCheckpoint {
-        cursor: SweepCursor {
-            total: 1u64 << m,
-            remaining: p.remaining,
-        },
-        live,
-        mass: p.mass,
-        certs: p.certs,
-    };
-    Ok(BottleneckOutcome::Partial {
-        r_low,
-        r_high,
-        explored: (sum_s * sum_t).clamp(0.0, 1.0),
-        side_s: Box::new(side_ck(m_s, live_s, part_s)),
-        side_t: Box::new(side_ck(m_t, live_t, part_t)),
-        report: report(dn, sweep),
-    })
-}
-
 /// Bottleneck reliability in `f64`.
 pub fn reliability_bottleneck(
     net: &Network,
@@ -596,47 +353,46 @@ mod tests {
 
     #[test]
     fn anytime_bounds_bracket_and_resume_is_bit_identical() {
+        use crate::checkpoint::{Checkpoint, CheckpointKind};
+        use crate::plan::{DecompositionPlan, PlanNode, PlanOutcome};
+
         let (net, d, cut) = two_cut_net();
         let set = validate_bottleneck_set(&net, d.source, d.sink, &cut).unwrap();
         let exact = reliability_bottleneck(&net, d, &cut, &CalcOptions::default()).unwrap();
-
-        // unlimited budget: the anytime path must equal the classic one
-        let full =
-            reliability_bottleneck_anytime(&net, d, &set, &CalcOptions::default(), None).unwrap();
-        match full {
-            BottleneckOutcome::Complete { reliability, .. } => {
-                assert_eq!(reliability, exact, "anytime complete must be bit-identical")
-            }
-            BottleneckOutcome::Partial { .. } => panic!("unlimited budget must complete"),
-        }
-
-        // tiny budget slices, resumed to completion
-        let budget = |n: u64| CalcOptions {
+        // the flat one-level split: a depth-0 plan is one `Cut` slot
+        let flat = |max_configs: Option<u64>| CalcOptions {
+            max_depth: 0,
             budget: crate::budget::Budget {
-                max_configs: Some(n),
+                max_configs,
                 ..Default::default()
             },
             ..Default::default()
         };
-        let mut resume: Option<(Box<SideCheckpoint>, Box<SideCheckpoint>)> = None;
+        let plan = DecompositionPlan::plan_on_set(&net, d, &set, &flat(None), 3).unwrap();
+        assert!(matches!(plan.root_node(), PlanNode::Cut(_)));
+        assert_eq!(plan.leaf_count(), 1);
+
+        // unlimited budget: the Cut slot must equal the one-level engine
+        match plan.execute(&flat(None), None).unwrap() {
+            PlanOutcome::Complete { reliability, .. } => assert_eq!(
+                reliability.to_bits(),
+                exact.to_bits(),
+                "a complete Cut slot must be bit-identical"
+            ),
+            PlanOutcome::Partial { .. } => panic!("unlimited budget must complete"),
+        }
+
+        // tiny budget slices, each resumed through the checkpoint text
+        let mut resume = None;
         let mut partials = 0usize;
         let r = loop {
-            let out = reliability_bottleneck_anytime(
-                &net,
-                d,
-                &set,
-                &budget(3),
-                resume.as_ref().map(|(a, b)| (a.as_ref(), b.as_ref())),
-            )
-            .unwrap();
-            match out {
-                BottleneckOutcome::Complete { reliability, .. } => break reliability,
-                BottleneckOutcome::Partial {
+            match plan.execute(&flat(Some(3)), resume.as_ref()).unwrap() {
+                PlanOutcome::Complete { reliability, .. } => break reliability,
+                PlanOutcome::Partial {
                     r_low,
                     r_high,
                     explored,
-                    side_s,
-                    side_t,
+                    checkpoint,
                     ..
                 } => {
                     assert!(
@@ -646,12 +402,27 @@ mod tests {
                     assert!((0.0..=1.0).contains(&explored));
                     partials += 1;
                     assert!(partials < 10_000, "budgeted loop must make progress");
-                    resume = Some((side_s, side_t));
+                    let text = Checkpoint {
+                        fingerprint: 0,
+                        reduce_shape: None,
+                        radices: None,
+                        kind: CheckpointKind::Plan(checkpoint),
+                    }
+                    .to_text();
+                    let CheckpointKind::Plan(ck) = Checkpoint::from_text(&text).unwrap().kind
+                    else {
+                        panic!("a plan checkpoint must parse back as a plan checkpoint")
+                    };
+                    resume = Some(ck);
                 }
             }
         };
         assert!(partials >= 1, "a 3-config budget must interrupt this sweep");
-        assert_eq!(r, exact, "serial resumed run must be bit-identical");
+        assert_eq!(
+            r.to_bits(),
+            exact.to_bits(),
+            "serial resumed run must be bit-identical"
+        );
     }
 
     #[test]

@@ -2,11 +2,11 @@
 
 use netgraph::{EdgeId, Network};
 
-use crate::algorithm::{reliability_bottleneck_anytime, BottleneckOutcome, BottleneckReport};
+use crate::algorithm::BottleneckReport;
 use crate::bottleneck::{find_bottleneck_set, validate_bottleneck_set, BottleneckSet};
 use crate::checkpoint::{
     instance_fingerprint, Checkpoint, CheckpointKind, FactoringCheckpoint, NaiveCheckpoint,
-    PlanCheckpoint, SideCheckpoint,
+    PlanCheckpoint, PlanLeafState,
 };
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
@@ -458,14 +458,36 @@ impl ReliabilityCalculator {
         match &checkpoint.kind {
             CheckpointKind::Naive(ck) => self.naive_outcome(net, demand, "naive", Some(ck)),
             // Flat one-level decomposition checkpoints from before the
-            // recursive planner; still honored so serialized v1 resumes work.
+            // recursive planner: the side cursors are the state of the one
+            // `Cut` slot of the depth-0 plan on the same cut, which is
+            // re-derived and resumed like any plan checkpoint.
             CheckpointKind::Bottleneck {
                 cut,
                 side_s,
                 side_t,
             } => {
                 let set = validate_bottleneck_set(net, demand.source, demand.sink, cut)?;
-                self.bottleneck_outcome(net, demand, &set, "bottleneck", Some((side_s, side_t)))
+                let opts = CalcOptions {
+                    max_depth: 0,
+                    hybrid: false,
+                    ..self.options.clone()
+                };
+                let plan =
+                    DecompositionPlan::plan_on_set(net, demand, &set, &opts, PLAN_RECURSE_K)?;
+                let ck = PlanCheckpoint {
+                    root_cut: set.edges.clone(),
+                    root_max_k: PLAN_RECURSE_K,
+                    max_depth: 0,
+                    recursive_cut_sides: opts.recursive_cut_sides,
+                    hybrid: false,
+                    shape: plan.shape(),
+                    shares: Vec::new(),
+                    leaves: vec![PlanLeafState::Cut {
+                        side_s: Box::new(side_s.clone()),
+                        side_t: Box::new(side_t.clone()),
+                    }],
+                };
+                self.execute_plan(net, demand, &plan, "bottleneck", &opts, Some(&ck))
             }
             CheckpointKind::Plan(ck) => {
                 let set = validate_bottleneck_set(net, demand.source, demand.sink, &ck.root_cut)?;
@@ -538,6 +560,19 @@ impl ReliabilityCalculator {
         resume: Option<&PlanCheckpoint>,
     ) -> Result<Outcome, ReliabilityError> {
         let plan = DecompositionPlan::plan_on_set(net, demand, set, opts, max_k)?;
+        self.execute_plan(net, demand, &plan, algorithm, opts, resume)
+    }
+
+    /// Executes a decomposition plan and wraps its outcome.
+    fn execute_plan(
+        &self,
+        net: &Network,
+        demand: FlowDemand,
+        plan: &DecompositionPlan,
+        algorithm: &'static str,
+        opts: &CalcOptions,
+        resume: Option<&PlanCheckpoint>,
+    ) -> Result<Outcome, ReliabilityError> {
         match plan.execute(opts, resume)? {
             PlanOutcome::Complete {
                 reliability,
@@ -660,56 +695,6 @@ impl ReliabilityCalculator {
                     reduce_shape: None,
                     radices: net_radices(net),
                     kind: CheckpointKind::Naive(checkpoint),
-                },
-            }))),
-        }
-    }
-
-    /// Runs the budgeted bottleneck decomposition and wraps its outcome.
-    fn bottleneck_outcome(
-        &self,
-        net: &Network,
-        demand: FlowDemand,
-        set: &BottleneckSet,
-        algorithm: &'static str,
-        resume: Option<(&SideCheckpoint, &SideCheckpoint)>,
-    ) -> Result<Outcome, ReliabilityError> {
-        match reliability_bottleneck_anytime(net, demand, set, &self.options, resume)? {
-            BottleneckOutcome::Complete {
-                reliability,
-                report,
-            } => Ok(Outcome::Complete(Box::new(ReliabilityReport {
-                reliability,
-                certified: true,
-                interval: (reliability, reliability),
-                algorithm,
-                bottleneck: Some(report),
-                mc: None,
-            }))),
-            BottleneckOutcome::Partial {
-                r_low,
-                r_high,
-                explored,
-                side_s,
-                side_t,
-                report,
-            } => Ok(Outcome::Partial(Box::new(PartialReport {
-                r_low,
-                r_high,
-                certified: true,
-                explored,
-                algorithm,
-                bottleneck: Some(report),
-                mc: None,
-                checkpoint: Checkpoint {
-                    fingerprint: instance_fingerprint(net, &demand, &self.options),
-                    reduce_shape: None,
-                    radices: net_radices(net),
-                    kind: CheckpointKind::Bottleneck {
-                        cut: set.edges.clone(),
-                        side_s: *side_s,
-                        side_t: *side_t,
-                    },
                 },
             }))),
         }

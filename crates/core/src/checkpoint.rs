@@ -414,6 +414,10 @@ impl Checkpoint {
     }
 
     /// Parses the text form produced by [`Checkpoint::to_text`].
+    ///
+    /// Counts read from the text never size an allocation up front: lists
+    /// grow as their entries are read, so a corrupt count ends in
+    /// [`ReliabilityError::CheckpointMismatch`] when the text runs out.
     pub fn from_text(text: &str) -> Result<Checkpoint, ReliabilityError> {
         let mut lines = text.lines();
         if lines.next() != Some(HEADER) {
@@ -442,7 +446,7 @@ impl Checkpoint {
         let radices = match field(&mut lines, "radices") {
             Ok(f) => {
                 let n: usize = parse(f.first(), "radix count")?;
-                if f.len() != n + 1 {
+                if n.checked_add(1) != Some(f.len()) {
                     return Err(bad("radices line has the wrong arity"));
                 }
                 let rs = f[1..]
@@ -466,7 +470,7 @@ impl Checkpoint {
             Some("bottleneck") => {
                 let cut_fields = field(&mut lines, "cut")?;
                 let n: usize = parse(cut_fields.first(), "cut count")?;
-                if cut_fields.len() != n + 1 {
+                if n.checked_add(1) != Some(cut_fields.len()) {
                     return Err(bad("cut line has the wrong arity"));
                 }
                 let cut = cut_fields[1..]
@@ -484,7 +488,7 @@ impl Checkpoint {
             Some("plan") => {
                 let cf = field(&mut lines, "root-cut")?;
                 let n: usize = parse(cf.first(), "root cut count")?;
-                if cf.len() != n + 1 {
+                if n.checked_add(1) != Some(cf.len()) {
                     return Err(bad("root-cut line has the wrong arity"));
                 }
                 let root_cut = cf[1..]
@@ -516,13 +520,13 @@ impl Checkpoint {
                 let shape = parse_hex(field(&mut lines, "shape")?.first(), "plan shape")?;
                 let share_count: usize =
                     parse(field(&mut lines, "shares")?.first(), "plan share count")?;
-                let mut shares = Vec::with_capacity(share_count);
+                let mut shares = Vec::new();
                 for _ in 0..share_count {
                     let s = field(&mut lines, "sh")?;
                     shares.push(f64::from_bits(parse_hex(s.first(), "share entry")?));
                 }
                 let count: usize = parse(field(&mut lines, "leaves")?.first(), "plan leaf count")?;
-                let mut leaves = Vec::with_capacity(count);
+                let mut leaves = Vec::new();
                 for _ in 0..count {
                     let lf = field(&mut lines, "leaf")?;
                     match lf.first().copied() {
@@ -575,7 +579,7 @@ impl Checkpoint {
                     "factoring leaf count",
                 )?;
                 let pn: usize = parse(field(&mut lines, "pending")?.first(), "pending count")?;
-                let mut pending = Vec::with_capacity(pn);
+                let mut pending = Vec::new();
                 for _ in 0..pn {
                     let fr = field(&mut lines, "frame")?;
                     let alive = parse_hex(fr.first(), "frame alive mask")?;
@@ -666,7 +670,7 @@ fn read_mc(lines: &mut std::str::Lines<'_>) -> Result<montecarlo::McCheckpoint, 
         .ok_or_else(|| bad("unknown Monte-Carlo solver"))?;
     let stf = field(lines, "mc-strata")?;
     let n: usize = parse(stf.first(), "strata count")?;
-    if stf.len() != n + 1 {
+    if n.checked_add(1) != Some(stf.len()) {
         return Err(bad("mc-strata line has the wrong arity"));
     }
     let strata = stf[1..]
@@ -696,7 +700,7 @@ fn read_mc(lines: &mut std::str::Lines<'_>) -> Result<montecarlo::McCheckpoint, 
         },
         Some("strata") => {
             let k: usize = parse(af.get(1), "mc stratum count")?;
-            let mut counts = Vec::with_capacity(k);
+            let mut counts = Vec::new();
             for _ in 0..k {
                 let sc = field(lines, "sc")?;
                 counts.push((
@@ -836,7 +840,7 @@ fn read_cursor(lines: &mut std::str::Lines<'_>) -> Result<SweepCursor, Reliabili
     let f = field(lines, "cursor")?;
     let total = parse_hex(f.first(), "cursor total")?;
     let n: usize = parse(f.get(1), "cursor range count")?;
-    let mut remaining = Vec::with_capacity(n);
+    let mut remaining = Vec::new();
     for _ in 0..n {
         let r = field(lines, "range")?;
         let lo = parse_hex(r.first(), "range lo")?;
@@ -863,7 +867,7 @@ fn read_f64_pair(
 fn read_certs(lines: &mut std::str::Lines<'_>) -> Result<Vec<SolveCert>, ReliabilityError> {
     let f = field(lines, "certs")?;
     let n: usize = parse(f.first(), "certificate count")?;
-    let mut certs = Vec::with_capacity(n);
+    let mut certs = Vec::new();
     for _ in 0..n {
         let line = lines
             .find(|l| !l.trim().is_empty())
@@ -894,7 +898,7 @@ fn read_side(
     let cursor = read_cursor(lines)?;
     let lf = field(lines, "live")?;
     let n: usize = parse(lf.first(), "live count")?;
-    if lf.len() != n + 1 {
+    if n.checked_add(1) != Some(lf.len()) {
         return Err(bad("live line has the wrong arity"));
     }
     let live = lf[1..]
@@ -903,14 +907,14 @@ fn read_side(
         .collect::<Result<Vec<usize>, _>>()?;
     let mf = field(lines, "mass")?;
     let mn: usize = parse(mf.first(), "mass count")?;
-    let mut mass = Vec::with_capacity(mn);
+    let mut mass = Vec::new();
     for _ in 0..mn {
         let m = field(lines, "m")?;
         mass.push(f64::from_bits(parse_hex(m.first(), "mass entry")?));
     }
     let gf = field(lines, "certgroups")?;
     let groups: usize = parse(gf.first(), "certificate group count")?;
-    let mut certs = Vec::with_capacity(groups);
+    let mut certs = Vec::new();
     for _ in 0..groups {
         certs.push(read_certs(lines)?);
     }
@@ -1198,6 +1202,62 @@ mod tests {
         assert!(Checkpoint::from_text(&truncated).is_err());
         let corrupted = text.replace("kind naive", "kind cubist");
         assert!(Checkpoint::from_text(&corrupted).is_err());
+    }
+
+    #[test]
+    fn huge_counts_are_mismatches_not_allocations() {
+        // every count a list is read by, and every count an arity check
+        // adds one to: (valid text, line as written, line with count {n})
+        let plan = plan_checkpoint().to_text();
+        let naive = naive_checkpoint().to_text();
+        let sides = bottleneck_checkpoint().to_text();
+        let factoring = Checkpoint {
+            fingerprint: 99,
+            reduce_shape: None,
+            radices: None,
+            kind: CheckpointKind::Factoring(FactoringCheckpoint {
+                accum: (0.5, 0.0),
+                leaves: 3,
+                pending: vec![(0b10, 0b01), (0, 0b11)],
+            }),
+        }
+        .to_text();
+        let strata = mc_checkpoint(montecarlo::McAccum::Strata {
+            counts: vec![(1, 2), (3, 4), (5, 6)],
+        })
+        .to_text();
+        let mut radices = naive_checkpoint();
+        radices.radices = Some(vec![3, 2]);
+        let radices = radices.to_text();
+        let cases = [
+            (&plan, "shares 5", "shares {n}"),
+            (&plan, "leaves 5", "leaves {n}"),
+            (&plan, "root-cut 2 3 9", "root-cut {n} 3 9"),
+            (&factoring, "pending 2", "pending {n}"),
+            (&strata, "mc-accum strata 3", "mc-accum strata {n}"),
+            (&strata, "mc-strata 2 3 0", "mc-strata {n} 3 0"),
+            (&naive, "cursor 1000 2", "cursor 1000 {n}"),
+            (&naive, "certs 2", "certs {n}"),
+            (&radices, "radices 2 3 2", "radices {n} 3 2"),
+            (&sides, "mass 4", "mass {n}"),
+            (&sides, "certgroups 3", "certgroups {n}"),
+            (&sides, "live 3 0 2 3", "live {n} 0 2 3"),
+            (&sides, "cut 2 2 5", "cut {n} 2 5"),
+        ];
+        for (text, line, template) in cases {
+            for n in [1_000_000_000_000u64, u64::MAX] {
+                let corrupt = template.replace("{n}", &n.to_string());
+                let bad = text.replacen(&format!("{line}\n"), &format!("{corrupt}\n"), 1);
+                assert_ne!(&bad, text, "`{line}` must occur in the fixture");
+                assert!(
+                    matches!(
+                        Checkpoint::from_text(&bad),
+                        Err(ReliabilityError::CheckpointMismatch { .. })
+                    ),
+                    "`{corrupt}` must be a checkpoint mismatch"
+                );
+            }
+        }
     }
 
     #[test]

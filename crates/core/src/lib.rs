@@ -18,7 +18,8 @@
 //! * [`algorithm::reliability_bottleneck`] — the paper's main contribution:
 //!   decomposition along a set of α-bottleneck links, per-side realization
 //!   arrays (Section III-C), and inclusion–exclusion accumulation over
-//!   supported assignments (Section IV);
+//!   supported assignments (Section IV); budgeted and checkpointed runs
+//!   execute the same split through the plan interpreter ([`plan`]);
 //! * [`factoring::reliability_factoring`] — classic conditioning with
 //!   flow-based pruning, an additional exact comparator;
 //! * [`calculator::ReliabilityCalculator`] — picks a strategy automatically
@@ -64,8 +65,7 @@ pub mod weight;
 
 pub use accumulate::{combine_interval, AccumulationMethod};
 pub use algorithm::{
-    reliability_bottleneck, reliability_bottleneck_anytime, reliability_bottleneck_anytime_on,
-    reliability_bottleneck_exact, BottleneckOutcome, BottleneckReport, PlanSlotReport,
+    reliability_bottleneck, reliability_bottleneck_exact, BottleneckReport, PlanSlotReport,
 };
 pub use assign::{enumerate_assignments, Assignment, AssignmentModel};
 pub use bottleneck::{

@@ -20,8 +20,9 @@
 //!   `x_i` across cut link `i`, so the sides are independent given the cut
 //!   links with `x_i ≠ 0` alive (Eq. 1 generalized to `k ≥ 1`):
 //!   `[up·lo_L·lo_R, up·hi_L·hi_R]` with `up = Π_{x_i≠0} (1 − p(e_i))`.
-//! - [`PlanNode::Cut`] — a general bottleneck split executed whole by the
-//!   PR-1 spectrum engine, which produces its own certified interval.
+//! - [`PlanNode::Cut`] — a general bottleneck split whose two sides are
+//!   swept whole as one leaf slot (both side sweeps draw from the slot's
+//!   sentinel) and combined by the same ACCUMULATION step as a `DeepCut`.
 //! - [`PlanNode::DeepCut`] — a general bottleneck split whose sides are
 //!   themselves decomposed ([`SidePlan`]): each side is either swept whole
 //!   or *peeled* at an internal cut that separates the side's terminal from
@@ -85,11 +86,8 @@
 
 use netgraph::{EdgeId, EdgeMask, GraphKind, Network, NodeId};
 
-use crate::accumulate::{combine, combine_interval};
-use crate::algorithm::{
-    reliability_bottleneck_anytime_on, side_resume, BottleneckOutcome, BottleneckReport,
-    PlanSlotReport,
-};
+use crate::accumulate::{combine, combine_interval, AccumulationMethod};
+use crate::algorithm::{BottleneckReport, PlanSlotReport};
 use crate::assign::{
     crossing_ranges, enumerate_assignments, supported_assignment_masks, Assignment, AssignmentModel,
 };
@@ -106,7 +104,7 @@ use crate::oracle::{DemandOracle, SideOracle};
 use crate::preprocess::relevance_reduce;
 use crate::reduce::{reduce, ReduceStats};
 use crate::spreduce::{reduce_unit_demand, ReductionStats};
-use crate::sweep::{sweep_spectrum_budgeted, SweepConfig};
+use crate::sweep::{sweep_spectrum_budgeted, PartialSpectrum, SweepConfig};
 use crate::weight::edge_weights;
 use montecarlo::{McCheckpoint, McOutcome, McReport, McSettings};
 
@@ -132,7 +130,7 @@ pub struct LeafNode {
     pub index: usize,
 }
 
-/// A general bottleneck split executed by the one-level spectrum engine.
+/// A general bottleneck split whose sides are swept whole, as one leaf slot.
 #[derive(Clone, Debug)]
 pub struct CutNode {
     /// The (sub)network the split applies to.
@@ -161,7 +159,7 @@ pub struct SweepNode {
 /// How one side of a [`DeepCutNode`] is evaluated.
 #[derive(Clone, Debug)]
 pub enum SidePlan {
-    /// Sweep the side whole with the PR-1 side-spectrum engine.
+    /// Sweep the side whole with the side-spectrum engine.
     Sweep(Box<SweepNode>),
     /// Peel the side at an internal cut separating its terminal from every
     /// attach point with a unique all-nonnegative crossing `x'`:
@@ -179,7 +177,7 @@ pub enum SidePlan {
 }
 
 /// A bottleneck split whose sides are recursively decomposed instead of
-/// being handed whole to the one-level engine.
+/// being swept whole.
 #[derive(Clone, Debug)]
 pub struct DeepCutNode {
     /// The validated bottleneck set of the parent network.
@@ -237,8 +235,8 @@ pub enum PlanNode {
         /// Sink-side subproblem (with a super-terminal producing `x`).
         right: Box<PlanNode>,
     },
-    /// A bottleneck split with more than one feasible assignment, executed
-    /// whole by the one-level spectrum engine.
+    /// A bottleneck split with more than one feasible assignment whose
+    /// sides are swept whole, as one leaf slot.
     Cut(Box<CutNode>),
     /// A bottleneck split whose sides are recursively decomposed.
     DeepCut(Box<DeepCutNode>),
@@ -815,9 +813,7 @@ fn exec_node(
                 Some(PlanLeafState::MonteCarlo(ck)) => {
                     return exec_mc_leaf(&cut.net, cut.demand, cut.index, ctx, sentinel, Some(ck));
                 }
-                Some(PlanLeafState::Cut { side_s, side_t }) => {
-                    Some((side_s.clone(), side_t.clone()))
-                }
+                Some(PlanLeafState::Cut { side_s, side_t }) => Some((&**side_s, &**side_t)),
                 None | Some(PlanLeafState::Fresh) => None,
                 Some(_) => {
                     return Err(mismatch("checkpoint stores a foreign state for a cut leaf"))
@@ -826,58 +822,7 @@ fn exec_node(
             if resume.is_none() && ctx.should_sample(remaining_cost(node, ctx.resume), sentinel) {
                 return exec_mc_leaf(&cut.net, cut.demand, cut.index, ctx, sentinel, None);
             }
-            let out = reliability_bottleneck_anytime_on(
-                &cut.net,
-                cut.demand,
-                &cut.set,
-                ctx.opts,
-                sentinel,
-                resume.as_ref().map(|(s, t)| (s.as_ref(), t.as_ref())),
-            )?;
-            let (eval, slot) = match out {
-                BottleneckOutcome::Complete {
-                    reliability,
-                    report,
-                } => (
-                    Eval {
-                        point: reliability,
-                        lo: reliability,
-                        hi: reliability,
-                        complete: true,
-                        certified: true,
-                    },
-                    LeafSlot {
-                        state: PlanLeafState::Done { value: reliability },
-                        explored: 1.0,
-                        stats: report.sweep,
-                    },
-                ),
-                BottleneckOutcome::Partial {
-                    r_low,
-                    r_high,
-                    explored,
-                    side_s,
-                    side_t,
-                    report,
-                } => (
-                    Eval {
-                        point: 0.5 * (r_low + r_high),
-                        lo: r_low,
-                        hi: r_high,
-                        complete: false,
-                        certified: true,
-                    },
-                    LeafSlot {
-                        state: PlanLeafState::Cut { side_s, side_t },
-                        explored,
-                        stats: report.sweep,
-                    },
-                ),
-            };
-            Ok(SubtreeOut {
-                eval,
-                slots: vec![slot],
-            })
+            exec_cut(cut, ctx, sentinel, resume)
         }
         PlanNode::DeepCut(dc) => exec_deepcut(dc, ctx, sentinel),
     }
@@ -1087,13 +1032,84 @@ fn resolve_leaf_mc(
     s
 }
 
+/// Executes a flat `Cut` slot: both sides are swept whole against the
+/// cut's assignment set — serially in s-then-t order, or under
+/// `rayon::join` — drawing from the slot's one sentinel, and combined like
+/// a `DeepCut`'s sides. The slot's state is `Done` once both sweeps finish,
+/// otherwise the two side cursors (`leaf cut`).
+fn exec_cut(
+    cut: &CutNode,
+    ctx: &ExecCtx<'_>,
+    sentinel: &BudgetSentinel,
+    resume: Option<(&SideCheckpoint, &SideCheckpoint)>,
+) -> Result<SubtreeOut, ReliabilityError> {
+    let opts = ctx.opts;
+    let ranges = crossing_ranges(
+        &cut.net,
+        &cut.set.edges,
+        &cut.set.forward_oriented,
+        cut.demand.demand,
+        opts.assignment_model,
+    );
+    let assignments = enumerate_assignments(cut.demand.demand, &ranges);
+    let dec = decompose(&cut.net, &cut.demand, &cut.set);
+    let sweep = |side: &Side, ck: Option<&SideCheckpoint>, which: &str| {
+        sweep_side(side, &assignments, opts, sentinel, ck, which)
+    };
+    let (s, t) = if opts.parallel {
+        rayon::join(
+            || sweep(&dec.side_s, resume.map(|r| r.0), "source-side"),
+            || sweep(&dec.side_t, resume.map(|r| r.1), "sink-side"),
+        )
+    } else {
+        (
+            sweep(&dec.side_s, resume.map(|r| r.0), "source-side"),
+            sweep(&dec.side_t, resume.map(|r| r.1), "sink-side"),
+        )
+    };
+    let ((s, mut stats), (t, stats_t)) = (s?, t?);
+    stats.merge(&stats_t);
+    let weights = edge_weights(&cut.net);
+    let cut_weights: Vec<(f64, f64)> = dec.cut.iter().map(|&e| weights[e.index()]).collect();
+    let support = supported_assignment_masks(&assignments, dec.cut.len());
+    let eval = combine_sides(
+        &cut_weights,
+        &support,
+        assignments.len(),
+        opts.accumulation,
+        (&s.mass, &s.live),
+        (&t.mass, &t.live),
+        s.cursor.remaining.is_empty() && t.cursor.remaining.is_empty(),
+    );
+    let slot = if eval.complete {
+        LeafSlot {
+            state: PlanLeafState::Done { value: eval.point },
+            explored: 1.0,
+            stats,
+        }
+    } else {
+        LeafSlot {
+            // the product of the two sides' explored probability mass
+            explored: (explored_mass(&s.mass) * explored_mass(&t.mass)).clamp(0.0, 1.0),
+            state: PlanLeafState::Cut {
+                side_s: Box::new(s),
+                side_t: Box::new(t),
+            },
+            stats,
+        }
+    };
+    Ok(SubtreeOut {
+        eval,
+        slots: vec![slot],
+    })
+}
+
 fn exec_deepcut(
     dc: &DeepCutNode,
     ctx: &ExecCtx<'_>,
     sentinel: &BudgetSentinel,
 ) -> Result<SubtreeOut, ReliabilityError> {
     let opts = ctx.opts;
-    let dn = dc.assignments.len();
     let (sa, sb) = fork2(
         sentinel,
         side_remaining(&dc.side_s, ctx.resume),
@@ -1113,50 +1129,71 @@ fn exec_deepcut(
         |sent| exec_side(&dc.side_t, dc, &side_ctx, sent),
     );
     let (s, t) = (s?, t?);
-    let eval = if s.complete && t.complete {
-        let r = combine(
-            &dc.cut_weights,
-            &dc.support,
-            &s.mass,
-            &t.mass,
-            dn,
-            opts.accumulation,
-        );
-        Eval {
+    let eval = combine_sides(
+        &dc.cut_weights,
+        &dc.support,
+        dc.assignments.len(),
+        opts.accumulation,
+        (&s.mass, &s.live),
+        (&t.mass, &t.live),
+        s.complete && t.complete,
+    );
+    let mut slots = s.slots;
+    slots.extend(t.slots);
+    Ok(SubtreeOut { eval, slots })
+}
+
+/// Probability mass a side sweep has examined so far.
+fn explored_mass(mass: &[f64]) -> f64 {
+    mass.iter().sum::<f64>().clamp(0.0, 1.0)
+}
+
+/// ACCUMULATION over the cut configurations (Section IV) of two side
+/// spectra, given as `(mass, live assignments)`. Complete spectra give the
+/// exact value; otherwise each side's unexplored mass is injected at its
+/// worst-case (empty) and best-case (all live assignments) realization
+/// masks, which by monotonicity brackets the value.
+fn combine_sides(
+    cut_weights: &[(f64, f64)],
+    support: &[u32],
+    dn: usize,
+    accumulation: AccumulationMethod,
+    (s_mass, s_live): (&[f64], &[usize]),
+    (t_mass, t_live): (&[f64], &[usize]),
+    complete: bool,
+) -> Eval {
+    if complete {
+        let r = combine(cut_weights, support, s_mass, t_mass, dn, accumulation);
+        return Eval {
             point: r,
             lo: r,
             hi: r,
             complete: true,
             certified: true,
-        }
-    } else {
-        let explored_mass = |mass: &[f64]| mass.iter().sum::<f64>().clamp(0.0, 1.0);
-        let live_mask = |live: &[usize]| live.iter().fold(0u32, |a, &j| a | 1 << j);
-        let (sum_s, sum_t) = (explored_mass(&s.mass), explored_mass(&t.mass));
-        let (lo, hi) = combine_interval(
-            &dc.cut_weights,
-            &dc.support,
-            &s.mass,
-            &(1.0 - sum_s).max(0.0),
-            live_mask(&s.live),
-            &t.mass,
-            &(1.0 - sum_t).max(0.0),
-            live_mask(&t.live),
-            dn,
-            opts.accumulation,
-        );
-        let lo = lo.clamp(0.0, 1.0);
-        Eval {
-            point: 0.5 * (lo + hi.clamp(lo, 1.0)),
-            lo,
-            hi: hi.clamp(lo, 1.0),
-            complete: false,
-            certified: true,
-        }
-    };
-    let mut slots = s.slots;
-    slots.extend(t.slots);
-    Ok(SubtreeOut { eval, slots })
+        };
+    }
+    let live_mask = |live: &[usize]| live.iter().fold(0u32, |a, &j| a | 1 << j);
+    let (lo, hi) = combine_interval(
+        cut_weights,
+        support,
+        s_mass,
+        &(1.0 - explored_mass(s_mass)).max(0.0),
+        live_mask(s_live),
+        t_mass,
+        &(1.0 - explored_mass(t_mass)).max(0.0),
+        live_mask(t_live),
+        dn,
+        accumulation,
+    );
+    let lo = lo.clamp(0.0, 1.0);
+    let hi = hi.clamp(lo, 1.0);
+    Eval {
+        point: 0.5 * (lo + hi),
+        lo,
+        hi,
+        complete: false,
+        certified: true,
+    }
 }
 
 fn exec_side(
@@ -1208,64 +1245,125 @@ fn exec_sweep(
     ctx: &ExecCtx<'_>,
     sentinel: &BudgetSentinel,
 ) -> Result<SideOut, ReliabilityError> {
-    let opts = ctx.opts;
-    let dn = dc.assignments.len();
-    let mut oracle = SideOracle::new(&sw.side, &dc.assignments, opts.solver)?;
-    let m = oracle.edge_count();
-    let (live, res) = match ctx.leaf_state(sw.index) {
-        None | Some(PlanLeafState::Fresh) => {
-            let live: Vec<usize> = (0..dn)
-                .filter(|&j| !opts.prune_infeasible_assignments || oracle.feasible_at_best(j))
-                .collect();
-            (live, None)
-        }
-        Some(PlanLeafState::Side(ck)) => {
-            let (live, part) = side_resume(ck, "side-sweep", m, dn)?;
-            (live, Some(part))
-        }
+    let resume = match ctx.leaf_state(sw.index) {
+        None | Some(PlanLeafState::Fresh) => None,
+        Some(PlanLeafState::Side(ck)) => Some(&**ck),
         Some(_) => {
             return Err(mismatch(
                 "checkpoint stores a foreign state for a sweep leaf",
             ))
         }
     };
-    let weights = edge_weights(&sw.side.net);
-    let cfg = SweepConfig::from_opts(opts);
-    let (part, stats) = sweep_spectrum_budgeted(&oracle, &live, &weights, dn, &cfg, sentinel, res);
-    let complete = part.is_complete();
-    let total = 1u64 << m;
-    let explored = 1.0 - part.remaining_configs() as f64 / total as f64;
-    let mass = part.mass.clone();
+    let (ck, stats) = sweep_side(
+        &sw.side,
+        &dc.assignments,
+        ctx.opts,
+        sentinel,
+        resume,
+        "side-sweep",
+    )?;
     // Even a completed sweep stays a `Side` state (with nothing remaining):
     // the parent cut needs the mass vector, not a scalar, so `Done` never
     // applies to sweep slots. Resuming a completed sweep is a no-op.
-    let state = PlanLeafState::Side(Box::new(SideCheckpoint {
-        cursor: SweepCursor {
-            total,
-            remaining: part.remaining,
-        },
-        live: live.clone(),
-        mass: part.mass,
-        certs: part.certs,
-    }));
     Ok(SideOut {
-        mass,
-        live,
-        complete,
+        mass: ck.mass.clone(),
+        live: ck.live.clone(),
+        complete: ck.cursor.remaining.is_empty(),
         slots: vec![LeafSlot {
-            state,
-            explored,
+            explored: ck.cursor.progress(),
+            state: PlanLeafState::Side(Box::new(ck)),
             stats,
         }],
     })
+}
+
+/// Sweeps one side's realization spectrum against the cut's assignments
+/// under `sentinel`, fresh or from its resume state, and returns the side's
+/// state after the sweep (complete once no cursor range remains).
+fn sweep_side(
+    side: &Side,
+    assignments: &[Assignment],
+    opts: &CalcOptions,
+    sentinel: &BudgetSentinel,
+    resume: Option<&SideCheckpoint>,
+    which: &str,
+) -> Result<(SideCheckpoint, SweepStats), ReliabilityError> {
+    let dn = assignments.len();
+    let mut oracle = SideOracle::new(side, assignments, opts.solver)?;
+    let m = oracle.edge_count();
+    let (live, res) = match resume {
+        None => {
+            let live: Vec<usize> = (0..dn)
+                .filter(|&j| !opts.prune_infeasible_assignments || oracle.feasible_at_best(j))
+                .collect();
+            (live, None)
+        }
+        Some(ck) => {
+            let (live, part) = side_resume(ck, which, m, dn)?;
+            (live, Some(part))
+        }
+    };
+    let weights = edge_weights(&side.net);
+    let cfg = SweepConfig::from_opts(opts);
+    let (part, stats) = sweep_spectrum_budgeted(&oracle, &live, &weights, dn, &cfg, sentinel, res);
+    Ok((
+        SideCheckpoint {
+            cursor: SweepCursor {
+                total: 1u64 << m,
+                remaining: part.remaining,
+            },
+            live,
+            mass: part.mass,
+            certs: part.certs,
+        },
+        stats,
+    ))
+}
+
+/// Validates a side checkpoint against this decomposition and unpacks it into
+/// the sweep engine's resume form. The checkpoint's `live` set is
+/// authoritative — it records which assignments the interrupted run swept.
+fn side_resume(
+    ck: &SideCheckpoint,
+    which: &str,
+    m: usize,
+    dn: usize,
+) -> Result<(Vec<usize>, PartialSpectrum<f64>), ReliabilityError> {
+    if ck.cursor.total != 1u64 << m {
+        return Err(mismatch(format!(
+            "{which} checkpoint enumerates {} configurations, this side {}",
+            ck.cursor.total,
+            1u64 << m
+        )));
+    }
+    if ck.mass.len() != 1usize << dn {
+        return Err(mismatch(format!(
+            "{which} checkpoint carries {} mask masses, this instance needs {}",
+            ck.mass.len(),
+            1usize << dn
+        )));
+    }
+    if let Some(&j) = ck.live.iter().find(|&&j| j >= dn) {
+        return Err(mismatch(format!(
+            "{which} checkpoint marks assignment {j} live, only {dn} exist"
+        )));
+    }
+    Ok((
+        ck.live.clone(),
+        PartialSpectrum {
+            mass: ck.mass.clone(),
+            remaining: ck.cursor.remaining.clone(),
+            certs: ck.certs.clone(),
+        },
+    ))
 }
 
 /// Builds the node for a split on an explicit, validated set. Emits a
 /// [`PlanNode::Bridge`] (recursing into the sides) when the assignment set
 /// is a single all-nonnegative assignment and depth remains; otherwise
 /// tries a [`PlanNode::DeepCut`] with recursively decomposed sides, falling
-/// back to a [`PlanNode::Cut`] for the one-level engine — after checking
-/// the same enumeration bounds that engine would.
+/// back to a flat [`PlanNode::Cut`] — after checking the enumeration bounds
+/// of the side sweeps.
 fn split_node(
     net: &Network,
     demand: FlowDemand,
@@ -1306,7 +1404,7 @@ fn split_node(
             right: Box::new(right),
         });
     }
-    // The one-level cut engine and DeepCut sweep sides as binary spectra,
+    // Cut and DeepCut slots sweep sides as binary spectra,
     // which cannot represent per-link state mixtures. A multi-state
     // subnetwork therefore never splits further in v1: it is swept whole by
     // a scalar leaf, whose naive engine enumerates mixed-radix natively.
@@ -1698,8 +1796,8 @@ fn build_node(
                 let assignments = enumerate_assignments(demand.demand, &ranges);
                 match split_node(net, demand, &set, assignments, depth, opts, max_k) {
                     Ok(node) => return Ok(node),
-                    // The split exceeds the one-level engine's bounds; a
-                    // plain leaf may still fit.
+                    // The split exceeds the side-sweep bounds; a plain
+                    // leaf may still fit.
                     Err(
                         ReliabilityError::TooManyAssignments { .. }
                         | ReliabilityError::SideTooLarge { .. },

@@ -1454,6 +1454,92 @@ mod tests {
     }
 
     #[test]
+    fn rare_event_crude_does_not_stop_on_a_degenerate_batch() {
+        // p = 1e-4 two-link instance, true R = 1 - 1e-8: the first batches
+        // are all successes, where a normal-approximation half-width is 0.
+        // The Wilson half-width of the `ci_half` target stays positive, so
+        // sampling continues past the first batch and the interval is never
+        // a point.
+        let net = two_parallel(1e-4);
+        let exact = 1.0 - 1e-8;
+        let mut s = settings(EstimatorKind::Crude, 50_000);
+        s.seed = 11;
+        s.batch = 4096;
+        s.target.ci_half = Some(1e-4);
+        let out = run(
+            &net,
+            NodeId(0),
+            NodeId(1),
+            1,
+            &s,
+            &McBudget::unlimited(),
+            false,
+        )
+        .unwrap();
+        let r = out.report();
+        assert!(
+            r.samples > 4096,
+            "Wilson stopping must keep sampling past one degenerate batch"
+        );
+        assert!(r.ci_high > r.ci_low, "interval must never be zero-width");
+        assert!(
+            r.ci_low <= exact && exact <= r.ci_high,
+            "[{}, {}] must cover {exact}",
+            r.ci_low,
+            r.ci_high
+        );
+    }
+
+    #[test]
+    fn zero_demand_is_exact_and_zero_samples_is_an_error() {
+        let net = two_parallel(0.1);
+        let out = run(
+            &net,
+            NodeId(0),
+            NodeId(1),
+            0,
+            &settings(EstimatorKind::Crude, 100),
+            &McBudget::unlimited(),
+            false,
+        )
+        .unwrap();
+        let r = out.report();
+        assert!(r.exact && r.samples == 0);
+        assert_eq!((r.mean, r.ci_low, r.ci_high), (1.0, 1.0, 1.0));
+        let none = run(
+            &net,
+            NodeId(0),
+            NodeId(1),
+            1,
+            &settings(EstimatorKind::Crude, 0),
+            &McBudget::unlimited(),
+            false,
+        );
+        assert_eq!(none, Err(McError::NoSamples));
+    }
+
+    #[test]
+    fn small_runs_report_clamped_honest_intervals() {
+        // ten samples of a 0.99 instance are likely all successes; the
+        // interval must still stay inside [0, 1] and keep a positive width
+        let net = two_parallel(0.1);
+        let out = run(
+            &net,
+            NodeId(0),
+            NodeId(1),
+            1,
+            &settings(EstimatorKind::Crude, 10),
+            &McBudget::unlimited(),
+            false,
+        )
+        .unwrap();
+        let r = out.report();
+        assert_eq!(r.samples, 10);
+        assert!((0.0..=1.0).contains(&r.ci_low) && (0.0..=1.0).contains(&r.ci_high));
+        assert!(r.ci_high > r.ci_low);
+    }
+
+    #[test]
     fn rare_event_perm_beats_crude_and_stays_honest() {
         // R = 1 - 1e-8; crude sees no failure in 20k samples
         let net = two_parallel(1e-4);

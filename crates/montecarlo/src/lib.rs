@@ -2,26 +2,19 @@
 //!
 //! The exact algorithms are exponential; Monte-Carlo sampling is the only
 //! practical path at scale and the natural baseline to compare the paper's
-//! algorithm against. This crate provides two layers:
+//! algorithm against. Everything runs through one estimation engine
+//! ([`engine`]): budget-aware, checkpointable estimation driven by a
+//! relative-error target, an absolute CI half-width target (`ci_half`), or
+//! a plain sample cap, with three estimators:
 //!
-//! **Basic estimators** (fixed experiment, no budget):
+//! * **crude** — independent samples of the full configuration space;
+//! * **dagger** — conditional sampling stratified on a chosen link subset
+//!   (naturally the bottleneck links of the paper's decomposition), with
+//!   monotone strata resolved exactly ([`stratified`]);
+//! * **permutation** ("turnip") — the rare-event estimator of Botev,
+//!   L'Ecuyer and Tuffin ([`pmc`]).
 //!
-//! * [`estimate`] — fixed-sample-count estimation;
-//! * [`estimate_parallel`] — the same sweep fanned out over rayon workers,
-//!   each with its own hash-derived RNG stream;
-//! * [`estimate_until`] — a sequential stopping rule: sample until the
-//!   Wilson 95% half-width falls below a target (or a sample budget is
-//!   exhausted);
-//! * [`estimate_antithetic`] — antithetic variates: negatively correlated
-//!   sample pairs, never worse than plain sampling for this monotone system;
-//! * [`estimate_stratified`] — stratify on a chosen link subset (naturally
-//!   the bottleneck links of the paper's decomposition).
-//!
-//! **The estimation engine** ([`engine`]): budget-aware, checkpointable
-//! estimation with variance-reduced estimators for the rare-event regime —
-//! a conditional ("dagger") sampler over bottleneck-link strata and a
-//! permutation ("turnip") estimator — driven by relative-error or CI-width
-//! stopping targets. See [`engine::run`].
+//! See [`engine::run`].
 //!
 //! ## Confidence intervals
 //!
@@ -35,11 +28,10 @@
 //!
 //! ## Determinism
 //!
-//! Sampling is deterministic per seed. Every worker/batch RNG stream is
-//! derived with [`stream_seed`], a splitmix64-style hash of
-//! `(seed, domain | index)`, so streams never collide across rounds,
-//! workers, or estimators (plain `seed + i` offsets did: round `r` of the
-//! sequential rule reused worker `i = r`'s stream).
+//! Sampling is deterministic per seed. Every batch RNG stream is derived
+//! with [`stream_seed`], a splitmix64-style hash of `(seed, domain | index)`,
+//! so streams never collide across batches or plan leaves (plain `seed + i`
+//! offsets would).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,23 +47,17 @@ pub use engine::{
     EstimatorKind, McAccum, McCheckpoint, McOutcome, McReport, McSettings, StopTarget,
 };
 pub use error::McError;
-pub use stratified::{estimate_stratified, StratifiedEstimate, MAX_STRATA_LINKS};
+pub use stratified::MAX_STRATA_LINKS;
 
-use maxflow::{build_flow, SolverKind, Workspace};
-use netgraph::{EdgeMask, Network, NodeId, StateExpansion};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use netgraph::{EdgeMask, Network, StateExpansion};
 
 /// z-score of the two-sided 95% interval, matching the exact crates' docs.
 pub(crate) const Z95: f64 = 1.96;
 
 // Stream-domain tags for `stream_seed`: the high byte separates the users of
-// the base seed so no two consumers can hash onto the same RNG stream.
-pub(crate) const STREAM_CRUDE: u64 = 1 << 56;
-pub(crate) const STREAM_WORKER: u64 = 2 << 56;
-pub(crate) const STREAM_BATCH: u64 = 3 << 56;
-pub(crate) const STREAM_ANTITHETIC: u64 = 4 << 56;
-pub(crate) const STREAM_STRATIFIED: u64 = 5 << 56;
+// the base seed so no two consumers can hash onto the same RNG stream. The
+// values are part of every recorded result and checkpoint: changing one
+// changes every sample drawn under it.
 pub(crate) const STREAM_ENGINE: u64 = 6 << 56;
 pub(crate) const STREAM_PLAN_LEAF: u64 = 7 << 56;
 
@@ -151,89 +137,6 @@ pub(crate) fn effective_n(mean: f64, samples: u64, std_error: f64) -> f64 {
     }
 }
 
-/// A Monte-Carlo reliability estimate.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Estimate {
-    /// Sample mean (the reliability estimate).
-    pub mean: f64,
-    /// Number of samples taken.
-    pub samples: u64,
-    /// Number of samples in which the demand was admitted.
-    pub successes: u64,
-    /// Standard error of the mean (binomial, or the estimator's measured
-    /// standard error for variance-reduced estimators).
-    pub std_error: f64,
-}
-
-impl Estimate {
-    /// Builds an estimate from raw success/sample counts.
-    pub fn from_counts(successes: u64, samples: u64) -> Result<Estimate, McError> {
-        if samples == 0 {
-            return Err(McError::NoSamples);
-        }
-        if successes > samples {
-            return Err(McError::BadParameter {
-                what: "successes",
-                reason: format!("{successes} successes exceed {samples} samples"),
-            });
-        }
-        let mean = successes as f64 / samples as f64;
-        let std_error = (mean * (1.0 - mean) / samples as f64).sqrt();
-        Ok(Estimate {
-            mean,
-            samples,
-            successes,
-            std_error,
-        })
-    }
-
-    /// The 95% **Wilson score** confidence interval `(lo, hi)`, clamped to
-    /// `[0, 1]`.
-    ///
-    /// Guarantee: the interval has nonzero width for every finite sample
-    /// count — in particular it never collapses to a point at an observed
-    /// mean of exactly 0 or 1, where it still spans roughly `z²/(n+z²)`.
-    /// For estimators whose measured standard error beats the binomial one
-    /// (antithetic pairs, stratification), the interval uses the effective
-    /// sample size `mean(1−mean)/se²`; this stays conservative because a
-    /// `[0,1]`-valued estimator's variance never exceeds `mean(1−mean)`.
-    pub fn ci95(&self) -> (f64, f64) {
-        wilson_interval(
-            self.mean,
-            effective_n(self.mean, self.samples, self.std_error),
-            Z95,
-        )
-    }
-
-    /// True when `value` lies inside the 95% confidence interval.
-    pub fn covers(&self, value: f64) -> bool {
-        let (lo, hi) = self.ci95();
-        lo <= value && value <= hi
-    }
-
-    /// Merges two independent count-based estimates.
-    pub fn merge(&self, other: &Estimate) -> Estimate {
-        let successes = self.successes + other.successes;
-        let samples = self.samples + other.samples;
-        let mean = if samples == 0 {
-            0.0
-        } else {
-            successes as f64 / samples as f64
-        };
-        let std_error = if samples == 0 {
-            0.0
-        } else {
-            (mean * (1.0 - mean) / samples as f64).sqrt()
-        };
-        Estimate {
-            mean,
-            samples,
-            successes,
-            std_error,
-        }
-    }
-}
-
 /// Checks the network fits in a sampling mask and carries no capacity
 /// spectra.
 ///
@@ -272,307 +175,25 @@ pub(crate) fn expand_multistate(net: &Network) -> Result<StateExpansion, McError
     })
 }
 
-/// One sampling worker: draws `samples` failure configurations from the
-/// given RNG stream and counts how many admit the demand. Builds the flow
-/// graph once and reuses one [`Workspace`] across all solves.
-fn sample_run(
-    net: &Network,
-    s: NodeId,
-    t: NodeId,
-    demand: u64,
-    solver: SolverKind,
-    samples: u64,
-    stream: u64,
-) -> u64 {
-    let m = net.edge_count();
-    let mut rng = StdRng::seed_from_u64(stream);
-    let mut nf = build_flow(net, s, t);
-    let mut ws = Workspace::new();
-    let probs: Vec<f64> = net.edges().iter().map(|e| e.fail_prob).collect();
-    let mut successes = 0u64;
-    for _ in 0..samples {
-        let mut bits = 0u64;
-        for (i, &p) in probs.iter().enumerate() {
-            if rng.gen::<f64>() >= p {
-                bits |= 1 << i;
-            }
-        }
-        nf.apply_mask(EdgeMask::from_bits(bits, m));
-        if demand == 0
-            || solver.solve_ws(&mut nf.graph, nf.source, nf.sink, demand, &mut ws) >= demand
-        {
-            successes += 1;
-        }
-    }
-    successes
-}
-
-/// Estimates the reliability from `samples` independent failure
-/// configurations drawn with the given `seed`.
-pub fn estimate(
-    net: &Network,
-    s: NodeId,
-    t: NodeId,
-    demand: u64,
-    samples: u64,
-    seed: u64,
-) -> Result<Estimate, McError> {
-    check_edges(net)?;
-    if samples == 0 {
-        return Err(McError::NoSamples);
-    }
-    let successes = sample_run(
-        net,
-        s,
-        t,
-        demand,
-        SolverKind::Dinic,
-        samples,
-        stream_seed(seed, STREAM_CRUDE),
-    );
-    Estimate::from_counts(successes, samples)
-}
-
-/// As [`estimate`], with the sweep split over `threads` rayon workers.
-/// Deterministic: worker `i` uses the hash-derived stream
-/// `stream_seed(seed, WORKER | i)`, so the result depends only on
-/// `(seed, threads, samples)` — never on scheduling.
-pub fn estimate_parallel(
-    net: &Network,
-    s: NodeId,
-    t: NodeId,
-    demand: u64,
-    samples: u64,
-    seed: u64,
-    threads: usize,
-) -> Result<Estimate, McError> {
-    check_edges(net)?;
-    if samples == 0 {
-        return Err(McError::NoSamples);
-    }
-    use rayon::prelude::*;
-    let threads = threads.clamp(1, samples.max(1) as usize);
-    let per = samples / threads as u64;
-    let extra = samples % threads as u64;
-    let successes: u64 = (0..threads as u64)
-        .into_par_iter()
-        .map(|i| {
-            let quota = per + u64::from(i < extra);
-            sample_run(
-                net,
-                s,
-                t,
-                demand,
-                SolverKind::Dinic,
-                quota,
-                stream_seed(seed, STREAM_WORKER | i),
-            )
-        })
-        .reduce(|| 0, |a, b| a + b);
-    Estimate::from_counts(successes, samples)
-}
-
-/// Antithetic-variates estimation: configurations are drawn in pairs
-/// `(U, 1−U)` per link, inducing negative correlation between the pair's
-/// outcomes. Because "admits the demand" is monotone in the link states,
-/// the pair covariance is non-positive and the paired estimator's variance
-/// never exceeds plain sampling's (often substantially less near the
-/// reliability extremes). `pairs` pairs are drawn (`2·pairs` evaluations).
-pub fn estimate_antithetic(
-    net: &Network,
-    s: NodeId,
-    t: NodeId,
-    demand: u64,
-    pairs: u64,
-    seed: u64,
-) -> Result<Estimate, McError> {
-    let m = check_edges(net)?;
-    if pairs == 0 {
-        return Err(McError::NoSamples);
-    }
-    let mut rng = StdRng::seed_from_u64(stream_seed(seed, STREAM_ANTITHETIC));
-    let mut nf = build_flow(net, s, t);
-    let mut ws = Workspace::new();
-    let solver = SolverKind::Dinic;
-    let probs: Vec<f64> = net.edges().iter().map(|e| e.fail_prob).collect();
-    let mut admits = |bits: u64, ws: &mut Workspace| -> bool {
-        nf.apply_mask(EdgeMask::from_bits(bits, m));
-        demand == 0 || solver.solve_ws(&mut nf.graph, nf.source, nf.sink, demand, ws) >= demand
-    };
-    // pair sums: 0, 1 or 2 successes per pair
-    let mut sum = 0u64;
-    let mut sum_sq = 0u64;
-    for _ in 0..pairs {
-        let mut a = 0u64;
-        let mut b = 0u64;
-        for (i, &p) in probs.iter().enumerate() {
-            let u: f64 = rng.gen();
-            if u >= p {
-                a |= 1 << i;
-            }
-            if (1.0 - u) >= p {
-                b |= 1 << i;
-            }
-        }
-        let pair = admits(a, &mut ws) as u64 + admits(b, &mut ws) as u64;
-        sum += pair;
-        sum_sq += pair * pair;
-    }
-    let n = pairs as f64;
-    let mean_pair = sum as f64 / n / 2.0; // per-evaluation mean
-                                          // variance of the per-pair average (pair/2), then of the mean over pairs
-    let pair_avg_sq = sum_sq as f64 / n / 4.0;
-    let var_pair_avg = (pair_avg_sq - mean_pair * mean_pair).max(0.0);
-    let std_error = (var_pair_avg / n).sqrt();
-    Ok(Estimate {
-        mean: mean_pair,
-        samples: pairs * 2,
-        successes: sum,
-        std_error,
-    })
-}
-
-/// Samples in batches until the **Wilson** 95% half-width drops below
-/// `target_half` or `max_samples` is reached. Returns the running estimate.
-///
-/// The stopping statistic is the Wilson half-width, not `1.96·se`: when a
-/// batch sees 0 or `n` successes the binomial standard error is exactly 0,
-/// and the normal-approximation rule would stop after one batch with a
-/// zero-width "certain" interval — precisely wrong in the rare-event regime
-/// this rule exists for. The Wilson half-width stays above `z²/(2(n+z²))`
-/// at the extremes, so sampling continues until the target is genuinely met
-/// or the budget runs out.
-pub fn estimate_until(
-    net: &Network,
-    s: NodeId,
-    t: NodeId,
-    demand: u64,
-    target_half: f64,
-    max_samples: u64,
-    seed: u64,
-) -> Result<Estimate, McError> {
-    check_edges(net)?;
-    if max_samples == 0 {
-        return Err(McError::NoSamples);
-    }
-    if !target_half.is_finite() || target_half <= 0.0 {
-        return Err(McError::BadParameter {
-            what: "target_half",
-            reason: format!("want a finite positive CI half-width, got {target_half}"),
-        });
-    }
-    const BATCH: u64 = 4096;
-    let mut total = Estimate {
-        mean: 0.0,
-        samples: 0,
-        successes: 0,
-        std_error: 0.0,
-    };
-    let mut round = 0u64;
-    loop {
-        let quota = BATCH.min(max_samples - total.samples);
-        let batch = Estimate::from_counts(
-            sample_run(
-                net,
-                s,
-                t,
-                demand,
-                SolverKind::Dinic,
-                quota,
-                stream_seed(seed, STREAM_BATCH | round),
-            ),
-            quota,
-        )?;
-        total = total.merge(&batch);
-        round += 1;
-        let half = wilson_half(total.mean, total.samples as f64, Z95);
-        if half <= target_half || total.samples >= max_samples {
-            return Ok(total);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netgraph::{GraphKind, NetworkBuilder};
-
-    /// Two parallel links p=0.1: R = 0.99 for d=1, 0.81 for d=2.
-    fn two_parallel() -> Network {
-        let mut b = NetworkBuilder::new(GraphKind::Directed);
-        let n = b.add_nodes(2);
-        b.add_edge(n[0], n[1], 1, 0.1).unwrap();
-        b.add_edge(n[0], n[1], 1, 0.1).unwrap();
-        b.build()
-    }
-
-    /// Two parallel near-perfect links: R = 1 - 1e-8 for d=1 — the
-    /// rare-event regression instance.
-    fn two_parallel_rare() -> Network {
-        let mut b = NetworkBuilder::new(GraphKind::Directed);
-        let n = b.add_nodes(2);
-        b.add_edge(n[0], n[1], 1, 1e-4).unwrap();
-        b.add_edge(n[0], n[1], 1, 1e-4).unwrap();
-        b.build()
-    }
-
-    #[test]
-    fn estimate_converges_to_truth() {
-        let net = two_parallel();
-        let e = estimate(&net, NodeId(0), NodeId(1), 1, 50_000, 7).unwrap();
-        assert!(e.covers(0.99), "estimate {} should cover 0.99", e.mean);
-        assert!((e.mean - 0.99).abs() < 0.01);
-        let e2 = estimate(&net, NodeId(0), NodeId(1), 2, 50_000, 7).unwrap();
-        assert!(e2.covers(0.81), "estimate {} should cover 0.81", e2.mean);
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let net = two_parallel();
-        let a = estimate(&net, NodeId(0), NodeId(1), 1, 1000, 42).unwrap();
-        let b = estimate(&net, NodeId(0), NodeId(1), 1, 1000, 42).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn zero_samples_is_an_error_not_a_panic() {
-        let net = two_parallel();
-        assert_eq!(
-            estimate(&net, NodeId(0), NodeId(1), 1, 0, 1),
-            Err(McError::NoSamples)
-        );
-        assert_eq!(
-            estimate_antithetic(&net, NodeId(0), NodeId(1), 1, 0, 1),
-            Err(McError::NoSamples)
-        );
-        assert_eq!(Estimate::from_counts(1, 0), Err(McError::NoSamples));
-        assert!(Estimate::from_counts(5, 3).is_err());
-    }
-
-    #[test]
-    fn parallel_matches_structure() {
-        let net = two_parallel();
-        let e = estimate_parallel(&net, NodeId(0), NodeId(1), 1, 20_000, 3, 4).unwrap();
-        assert_eq!(e.samples, 20_000);
-        assert!(e.covers(0.99));
-        // same (seed, threads) is reproducible
-        let e2 = estimate_parallel(&net, NodeId(0), NodeId(1), 1, 20_000, 3, 4).unwrap();
-        assert_eq!(e, e2);
-    }
 
     #[test]
     fn stream_seeds_do_not_collide() {
-        // the old scheme had worker i and batch round r = i share seed+i;
-        // hash-derived streams are distinct across domains and indices
+        // additive `seed + i` schemes let batch `i` of one seed replay batch
+        // 0 of seed `i`; hash-derived streams are distinct across seeds,
+        // domains and indices
         let mut seen = std::collections::HashSet::new();
-        for i in 0..1000u64 {
-            assert!(seen.insert(stream_seed(42, STREAM_WORKER | i)));
-            assert!(seen.insert(stream_seed(42, STREAM_BATCH | i)));
+        for seed in 0..8u64 {
+            for i in 0..1000u64 {
+                assert!(seen.insert(stream_seed(seed, STREAM_ENGINE | i)));
+            }
         }
         // and deterministic
         assert_eq!(
-            stream_seed(7, STREAM_WORKER | 3),
-            stream_seed(7, STREAM_WORKER | 3)
+            stream_seed(7, STREAM_ENGINE | 3),
+            stream_seed(7, STREAM_ENGINE | 3)
         );
     }
 
@@ -582,46 +203,10 @@ mod tests {
         for slot in 0..1000u64 {
             assert!(seen.insert(plan_leaf_seed(42, slot)));
             // a leaf's base seed never collides with the engine-internal
-            // streams the same base seed fans out into
+            // batch streams the same base seed fans out into
             assert!(seen.insert(stream_seed(42, STREAM_ENGINE | slot)));
-            assert!(seen.insert(stream_seed(42, STREAM_BATCH | slot)));
         }
         assert_eq!(plan_leaf_seed(7, 3), plan_leaf_seed(7, 3));
-    }
-
-    #[test]
-    fn stopping_rule_stops() {
-        let net = two_parallel();
-        let e = estimate_until(&net, NodeId(0), NodeId(1), 2, 0.02, 1_000_000, 5).unwrap();
-        assert!(wilson_half(e.mean, e.samples as f64, Z95) <= 0.02 || e.samples == 1_000_000);
-        // a fixed seed pins one sample path; assert a 3-sigma band rather
-        // than the 95% CI so the test does not hinge on landing inside
-        // +/-1.96 sigma exactly
-        assert!((e.mean - 0.81).abs() <= 3.0 * e.std_error);
-        // loose target stops immediately after one batch
-        let quick = estimate_until(&net, NodeId(0), NodeId(1), 2, 0.5, 1_000_000, 5).unwrap();
-        assert_eq!(quick.samples, 4096);
-    }
-
-    #[test]
-    fn rare_event_does_not_stop_on_a_degenerate_batch() {
-        // regression: p = 1e-4 two-link instance, true R = 1 - 1e-8. The
-        // first 4096-sample batch is (for these seeds) all successes, so the
-        // old `1.96·se > target` rule stopped immediately with the
-        // zero-width interval [1, 1], which excludes the exact answer.
-        let net = two_parallel_rare();
-        let exact = 1.0 - 1e-8;
-        let e = estimate_until(&net, NodeId(0), NodeId(1), 1, 1e-4, 50_000, 11).unwrap();
-        assert!(
-            e.samples > 4096,
-            "Wilson stopping must keep sampling past one degenerate batch"
-        );
-        let (lo, hi) = e.ci95();
-        assert!(hi > lo, "interval must never be zero-width");
-        assert!(
-            lo <= exact && exact <= hi,
-            "[{lo}, {hi}] must cover {exact}"
-        );
     }
 
     #[test]
@@ -640,102 +225,5 @@ mod tests {
         );
         // degenerate n
         assert_eq!(wilson_interval(0.5, 0.0, Z95), (0.0, 1.0));
-    }
-
-    #[test]
-    fn antithetic_converges_and_does_not_lose() {
-        let net = two_parallel();
-        let anti = estimate_antithetic(&net, NodeId(0), NodeId(1), 2, 25_000, 7).unwrap();
-        assert!(
-            anti.covers(0.81),
-            "antithetic {} should cover 0.81",
-            anti.mean
-        );
-        let plain = estimate(&net, NodeId(0), NodeId(1), 2, 50_000, 7).unwrap();
-        assert!(
-            anti.std_error <= plain.std_error * 1.1,
-            "antithetic {} vs plain {}",
-            anti.std_error,
-            plain.std_error
-        );
-    }
-
-    #[test]
-    fn antithetic_deterministic_per_seed() {
-        let net = two_parallel();
-        let a = estimate_antithetic(&net, NodeId(0), NodeId(1), 1, 2_000, 5).unwrap();
-        let b = estimate_antithetic(&net, NodeId(0), NodeId(1), 1, 2_000, 5).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn basic_estimators_refuse_multistate_networks() {
-        // the fixed-experiment samplers interpret fail_prob as binary and
-        // would silently estimate the wrong model on a spectrum link
-        let mut b = NetworkBuilder::new(GraphKind::Directed);
-        let n = b.add_nodes(2);
-        b.add_spectrum_edge(n[0], n[1], &[(0, 0.2), (1, 0.3), (2, 0.5)])
-            .unwrap();
-        let net = b.build();
-        let multistate =
-            |r: Result<Estimate, McError>| matches!(r, Err(McError::MultiState { .. }));
-        assert!(multistate(estimate(&net, NodeId(0), NodeId(1), 1, 100, 1)));
-        assert!(multistate(estimate_parallel(
-            &net,
-            NodeId(0),
-            NodeId(1),
-            1,
-            100,
-            1,
-            2
-        )));
-        assert!(multistate(estimate_antithetic(
-            &net,
-            NodeId(0),
-            NodeId(1),
-            1,
-            100,
-            1
-        )));
-        assert!(multistate(estimate_until(
-            &net,
-            NodeId(0),
-            NodeId(1),
-            1,
-            0.1,
-            100,
-            1
-        )));
-        assert!(matches!(
-            estimate_stratified(
-                &net,
-                NodeId(0),
-                NodeId(1),
-                1,
-                &[netgraph::EdgeId(0)],
-                100,
-                1
-            ),
-            Err(McError::MultiState { .. })
-        ));
-    }
-
-    #[test]
-    fn zero_demand_always_succeeds() {
-        let net = two_parallel();
-        let e = estimate(&net, NodeId(0), NodeId(1), 0, 100, 1).unwrap();
-        assert_eq!(e.mean, 1.0);
-        assert_eq!(e.std_error, 0.0);
-        // ...but the CI is still honest about the finite sample size
-        let (lo, hi) = e.ci95();
-        assert!(lo < 1.0 && hi > 1.0 - 1e-9);
-    }
-
-    #[test]
-    fn ci_is_clamped() {
-        let net = two_parallel();
-        let e = estimate(&net, NodeId(0), NodeId(1), 0, 10, 1).unwrap();
-        let (lo, hi) = e.ci95();
-        assert!((0.0..=1.0).contains(&lo) && (0.0..=1.0).contains(&hi));
     }
 }

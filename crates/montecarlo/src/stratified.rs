@@ -1,4 +1,5 @@
-//! Stratified sampling conditioned on a chosen link subset.
+//! Stratified sampling conditioned on a chosen link subset: the plan behind
+//! the engine's dagger estimator.
 //!
 //! Pick `k` strata links (naturally a bottleneck set, tying this estimator to
 //! the paper's decomposition). Each of the `2^k` availability configurations
@@ -7,11 +8,11 @@
 //! combines: `R = Σ_j p_j · R_j`. The strata links contribute zero sampling
 //! variance, and within-stratum variance is weighted by `p_j²/n_j < p_j/n`.
 //!
-//! [`StrataPlan`] is the shared foundation: it additionally *classifies* each
-//! stratum by monotonicity — if the demand is infeasible with every free link
-//! alive the stratum contributes exactly 0; if it is feasible with every free
-//! link dead it contributes exactly its probability — so only genuinely
-//! *mixed* strata are ever sampled. This is the conditional ("dagger")
+//! [`StrataPlan`] additionally *classifies* each stratum by monotonicity —
+//! if the demand is infeasible with every free link alive the stratum
+//! contributes exactly 0; if it is feasible with every free link dead it
+//! contributes exactly its probability — so only genuinely *mixed* strata
+//! are ever sampled. This is the conditional ("dagger")
 //! decomposition the engine's rare-event estimator builds on: the exact mass
 //! absorbs the overwhelming bulk of the probability near R → 1, leaving the
 //! sampler to resolve only the strata where the answer is in doubt.
@@ -19,52 +20,13 @@
 use maxflow::{build_flow, NetworkFlow, SolverKind, Workspace};
 use netgraph::{EdgeId, EdgeMask, Network, NodeId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
+use crate::check_edges;
 use crate::error::McError;
-use crate::{check_edges, effective_n, wilson_interval, Z95};
 
 /// Maximum strata links: `2^k` strata must stay enumerable.
 pub const MAX_STRATA_LINKS: usize = 16;
-
-/// A stratified estimate.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StratifiedEstimate {
-    /// The combined reliability estimate.
-    pub mean: f64,
-    /// Standard error of the combined estimate.
-    pub std_error: f64,
-    /// Number of strata (`2^k`).
-    pub strata: usize,
-    /// Total samples drawn across all strata.
-    pub samples: u64,
-}
-
-impl StratifiedEstimate {
-    /// The 95% **Wilson** confidence interval, clamped to `[0, 1]`, using the
-    /// effective sample size implied by the stratified standard error. Like
-    /// [`crate::Estimate::ci95`], it never collapses to a point for a finite
-    /// sample count unless the estimate is exactly known (zero variance with
-    /// every stratum resolved exactly, reported as `std_error == 0` with
-    /// `samples == 0`).
-    pub fn ci95(&self) -> (f64, f64) {
-        if self.samples == 0 {
-            // fully exact: every stratum was classified, nothing was sampled
-            return (self.mean, self.mean);
-        }
-        wilson_interval(
-            self.mean,
-            effective_n(self.mean, self.samples, self.std_error),
-            Z95,
-        )
-    }
-
-    /// True when `value` lies inside the 95% confidence interval.
-    pub fn covers(&self, value: f64) -> bool {
-        let (lo, hi) = self.ci95();
-        lo <= value && value <= hi
-    }
-}
 
 /// How a stratum resolved during classification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,8 +68,6 @@ pub(crate) struct StrataPlan {
     pub exact_mass: f64,
     /// Flow evaluations spent on classification.
     pub classify_evals: u64,
-    /// Total strata (`2^k`), for reporting.
-    pub strata: usize,
 }
 
 impl StrataPlan {
@@ -153,11 +113,10 @@ impl StrataPlan {
             solver.solve_ws(&mut nf.graph, nf.source, nf.sink, demand, &mut ws) >= demand
         };
 
-        let strata = 1usize << k;
         let mut mixed = Vec::new();
         let mut exact_mass = 0.0f64;
         let mut classify_evals = 0u64;
-        for stratum in 0..strata {
+        for stratum in 0..1usize << k {
             let mut p = 1.0f64;
             let mut fixed_bits = 0u64;
             for (bit, &ei) in strata_set.iter().enumerate() {
@@ -191,7 +150,6 @@ impl StrataPlan {
             mixed,
             exact_mass,
             classify_evals,
-            strata,
         })
     }
 
@@ -267,53 +225,11 @@ impl StrataPlan {
     }
 }
 
-/// Stratified reliability estimation: `total_samples` are allocated to the
-/// `2^k` strata proportionally to their probability (at least 2 each; strata
-/// whose probability is 0 are skipped, and strata resolved exactly by
-/// monotonicity are not sampled at all).
-pub fn estimate_stratified(
-    net: &Network,
-    s: NodeId,
-    t: NodeId,
-    demand: u64,
-    strata_links: &[EdgeId],
-    total_samples: u64,
-    seed: u64,
-) -> Result<StratifiedEstimate, McError> {
-    if total_samples == 0 {
-        return Err(McError::NoSamples);
-    }
-    let solver = SolverKind::Dinic;
-    let plan = StrataPlan::build(net, s, t, demand, strata_links, solver)?;
-    let mut nf = build_flow(net, s, t);
-    let mut ws = Workspace::new();
-    let mut rng = StdRng::seed_from_u64(crate::stream_seed(seed, crate::STREAM_STRATIFIED));
-
-    let mut mean = plan.exact_mass;
-    let mut variance = 0.0f64;
-    let mut samples_used = 0u64;
-    let mut evals = 0u64;
-    for (j, st) in plan.mixed.iter().enumerate() {
-        let n_j = ((total_samples as f64 * st.p).round() as u64).max(2);
-        let successes = plan.sample_stratum(
-            j, n_j, demand, solver, &mut nf, &mut ws, &mut rng, &mut evals,
-        );
-        samples_used += n_j;
-        let r_j = successes as f64 / n_j as f64;
-        mean += st.p * r_j;
-        variance += st.p * st.p * r_j * (1.0 - r_j) / n_j as f64;
-    }
-    Ok(StratifiedEstimate {
-        mean,
-        std_error: variance.sqrt(),
-        strata: plan.strata,
-        samples: samples_used,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run, EstimatorKind, McReport, McSettings, StopTarget};
+    use crate::McBudget;
     use netgraph::{GraphKind, NetworkBuilder};
 
     /// s -e0- a -e1- t with an unreliable middle link: stratifying on e1
@@ -326,14 +242,57 @@ mod tests {
         b.build()
     }
 
+    /// Runs the engine's dagger estimator on `net` stratified on `strata`.
+    fn dagger(
+        net: &Network,
+        t: NodeId,
+        strata: &[EdgeId],
+        samples: u64,
+        seed: u64,
+    ) -> Result<McReport, McError> {
+        let settings = McSettings {
+            seed,
+            estimator: EstimatorKind::Dagger,
+            strata: strata.to_vec(),
+            target: StopTarget {
+                max_samples: samples,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        run(
+            net,
+            NodeId(0),
+            t,
+            1,
+            &settings,
+            &McBudget::unlimited(),
+            false,
+        )
+        .map(|out| *out.report())
+    }
+
     #[test]
-    fn matches_exact_value() {
+    fn dagger_covers_and_beats_crude_variance() {
         let net = chain();
         let exact = 0.9 * 0.6;
-        let e =
-            estimate_stratified(&net, NodeId(0), NodeId(2), 1, &[EdgeId(1)], 20_000, 3).unwrap();
-        assert!(e.covers(exact), "stratified {:?} misses exact {exact}", e);
-        assert_eq!(e.strata, 2);
+        let strat = dagger(&net, NodeId(2), &[EdgeId(1)], 20_000, 3).unwrap();
+        assert!(
+            strat.ci_low <= exact && exact <= strat.ci_high,
+            "dagger {strat:?} misses exact {exact}"
+        );
+        // stratifying on the unreliable link removes most of the variance
+        let crude = (exact * (1.0 - exact) / 20_000.0).sqrt();
+        assert!(
+            strat.std_error <= crude * 1.05,
+            "dagger {} vs crude {crude}",
+            strat.std_error
+        );
+        // deterministic per seed
+        assert_eq!(
+            strat,
+            dagger(&net, NodeId(2), &[EdgeId(1)], 20_000, 3).unwrap()
+        );
     }
 
     #[test]
@@ -341,58 +300,20 @@ mod tests {
         // every link a stratum link: classification resolves every stratum
         // by monotonicity, nothing is left to sample, zero variance
         let net = chain();
-        let e = estimate_stratified(
-            &net,
-            NodeId(0),
-            NodeId(2),
-            1,
-            &[EdgeId(0), EdgeId(1)],
-            100,
-            1,
-        )
-        .unwrap();
+        let e = dagger(&net, NodeId(2), &[EdgeId(0), EdgeId(1)], 100, 1).unwrap();
+        assert!(e.exact);
         assert!((e.mean - 0.9 * 0.6).abs() < 1e-12);
         assert_eq!(e.std_error, 0.0);
         assert_eq!(e.samples, 0, "fully classified plans sample nothing");
-        assert_eq!(e.ci95(), (e.mean, e.mean));
-    }
-
-    #[test]
-    fn variance_not_worse_than_plain() {
-        let net = chain();
-        let plain = crate::estimate(&net, NodeId(0), NodeId(2), 1, 20_000, 9).unwrap();
-        let strat =
-            estimate_stratified(&net, NodeId(0), NodeId(2), 1, &[EdgeId(1)], 20_000, 9).unwrap();
-        assert!(
-            strat.std_error <= plain.std_error * 1.05,
-            "stratified {} vs plain {}",
-            strat.std_error,
-            plain.std_error
-        );
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let net = chain();
-        let a = estimate_stratified(&net, NodeId(0), NodeId(2), 1, &[EdgeId(1)], 5_000, 4).unwrap();
-        let b = estimate_stratified(&net, NodeId(0), NodeId(2), 1, &[EdgeId(1)], 5_000, 4).unwrap();
-        assert_eq!(a, b);
+        assert_eq!((e.ci_low, e.ci_high), (e.mean, e.mean));
     }
 
     #[test]
     fn rejects_duplicate_strata() {
         let net = chain();
-        let e = estimate_stratified(
-            &net,
-            NodeId(0),
-            NodeId(2),
-            1,
-            &[EdgeId(1), EdgeId(1)],
-            100,
-            1,
-        );
+        let e = dagger(&net, NodeId(2), &[EdgeId(1), EdgeId(1)], 100, 1);
         assert_eq!(e, Err(McError::DuplicateStratumLink { link: EdgeId(1) }));
-        let e = estimate_stratified(&net, NodeId(0), NodeId(2), 1, &[EdgeId(7)], 100, 1);
+        let e = dagger(&net, NodeId(2), &[EdgeId(7)], 100, 1);
         assert_eq!(
             e,
             Err(McError::StratumLinkOutOfRange {
@@ -408,7 +329,7 @@ mod tests {
         let n = b.add_nodes(2);
         b.add_edge(n[0], n[1], 1, 0.0).unwrap(); // never fails
         let net = b.build();
-        let e = estimate_stratified(&net, NodeId(0), NodeId(1), 1, &[EdgeId(0)], 100, 1).unwrap();
+        let e = dagger(&net, NodeId(1), &[EdgeId(0)], 100, 1).unwrap();
         assert_eq!(e.mean, 1.0);
         assert_eq!(e.std_error, 0.0);
     }

@@ -7,7 +7,7 @@
 
 use std::time::{Duration, Instant};
 
-use flowrel_core::{fnet, FlowDemand, ReliabilityCalculator, Strategy};
+use flowrel_core::{fnet, FlowDemand, ReliabilityCalculator, ReliabilityError, Strategy};
 use flowrel_server::proto::code;
 use flowrel_server::server::{start, ServerConfig, ServerHandle};
 use flowrel_server::{Client, ComputeRequest, Response, StrategySpec};
@@ -250,6 +250,39 @@ fn concurrent_resume_race_has_exactly_one_winner() {
         (1, 1),
         "claim must be exclusive: {outcomes:?}"
     );
+    assert_still_serving(&handle);
+    handle.begin_shutdown();
+    handle.join();
+}
+
+/// A checkpoint whose counts promise more entries than any text could hold
+/// (a plan checkpoint of about 150 bytes claiming 10^12 budget shares, or
+/// 10^12 leaf states) gets a checkpoint-mismatch reply instead of an
+/// allocation that aborts the daemon; the connection and the server keep
+/// serving.
+#[test]
+fn checkpoint_with_a_huge_count_is_an_error_reply_not_an_abort() {
+    let handle = server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let (net, _) = instance(3, 3, 5);
+    let shares = "flowrel-checkpoint v1\nfingerprint 0\nkind plan\nroot-cut 0\nroot-maxk 3\n\
+                  max-depth 0\ndeep 1\nshape 0\nshares 1000000000000\n";
+    let leaves = shares.replace("shares 1000000000000", "shares 0\nleaves 1000000000000");
+    let mismatch = ReliabilityError::CheckpointMismatch {
+        reason: String::new(),
+    }
+    .code();
+    for text in [shares.to_string(), leaves] {
+        let request = ComputeRequest {
+            checkpoint: Some(text),
+            ..naive_compute(net.clone())
+        };
+        match client.compute(request).unwrap() {
+            Response::Error(e) => assert_eq!(e.code, mismatch, "{e}"),
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
+    }
+    client.ping().unwrap();
     assert_still_serving(&handle);
     handle.begin_shutdown();
     handle.join();

@@ -4,8 +4,34 @@
 //! Run with `cargo run --release --example monte_carlo_validation`.
 
 use flowrel::core::{reliability_naive, CalcOptions, FlowDemand};
-use flowrel::montecarlo;
+use flowrel::montecarlo::{engine, EstimatorKind, McBudget, McReport, McSettings, StopTarget};
+use flowrel::netgraph::Network;
 use flowrel::workloads::generators::{barbell, BarbellParams};
+
+/// Crude sampling through the estimation engine, up to `target`.
+fn crude(net: &Network, demand: FlowDemand, target: StopTarget, seed: u64) -> McReport {
+    let settings = McSettings {
+        seed,
+        estimator: EstimatorKind::Crude,
+        target,
+        ..Default::default()
+    };
+    let out = engine::run(
+        net,
+        demand.source,
+        demand.sink,
+        demand.demand,
+        &settings,
+        &McBudget::unlimited(),
+        false,
+    )
+    .expect("estimate");
+    *out.report()
+}
+
+fn covers(est: &McReport, value: f64) -> bool {
+    est.ci_low <= value && value <= est.ci_high
+}
 
 fn main() {
     let (inst, _) = barbell(BarbellParams {
@@ -28,34 +54,32 @@ fn main() {
     );
     for exp in [8u32, 10, 12, 14, 16, 18] {
         let samples = 1u64 << exp;
-        let est = montecarlo::estimate(&inst.net, inst.source, inst.sink, inst.demand, samples, 7)
-            .expect("estimate");
-        let (lo, hi) = est.ci95();
+        let target = StopTarget {
+            max_samples: samples,
+            ..Default::default()
+        };
+        let est = crude(&inst.net, demand, target, 7);
         println!(
             "{:>10} {:>12.6} {:>12.2e} {:>10.2e}  {}",
             samples,
             est.mean,
             (est.mean - exact).abs(),
-            (hi - lo) / 2.0,
-            if est.covers(exact) { "yes" } else { "NO" }
+            (est.ci_high - est.ci_low) / 2.0,
+            if covers(&est, exact) { "yes" } else { "NO" }
         );
     }
     println!("\nsequential stopping rule targeting a ±0.002 95% CI:");
-    let est = montecarlo::estimate_until(
-        &inst.net,
-        inst.source,
-        inst.sink,
-        inst.demand,
-        0.002,
-        1 << 22,
-        13,
-    )
-    .expect("estimate");
+    let target = StopTarget {
+        ci_half: Some(0.002),
+        max_samples: 1 << 22,
+        ..Default::default()
+    };
+    let est = crude(&inst.net, demand, target, 13);
     println!(
         "stopped after {} samples at {:.6} (exact {:.6}, covered: {})",
         est.samples,
         est.mean,
         exact,
-        est.covers(exact)
+        covers(&est, exact)
     );
 }

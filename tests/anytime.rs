@@ -5,10 +5,10 @@
 //! bottleneck sweep paths.
 
 use flowrel::core::{
-    Budget, CalcOptions, CancelToken, Checkpoint, FlowDemand, Outcome, ReliabilityCalculator,
-    Strategy,
+    reliability_bottleneck, Budget, CalcOptions, CancelToken, Checkpoint, CheckpointKind,
+    FlowDemand, Outcome, ReliabilityCalculator, Strategy,
 };
-use flowrel::netgraph::{GraphKind, Network, NetworkBuilder};
+use flowrel::netgraph::{EdgeId, GraphKind, Network, NetworkBuilder};
 use rand::prelude::*;
 
 fn random_network(rng: &mut SmallRng, kind: GraphKind) -> (Network, FlowDemand) {
@@ -276,4 +276,63 @@ fn checkpoint_text_is_stable_across_round_trips() {
             "{strategy:?}: serialization must be canonical"
         );
     }
+}
+
+/// The double diamond the legacy fixture was written against: a directed
+/// 2-link cut with two feasible assignments, (1, 1) and (2, 0).
+fn double_diamond() -> (Network, FlowDemand, Vec<EdgeId>) {
+    let mut b = NetworkBuilder::new(GraphKind::Directed);
+    let n = b.add_nodes(6);
+    b.add_edge(n[0], n[1], 2, 0.1).unwrap();
+    b.add_edge(n[0], n[2], 2, 0.2).unwrap();
+    let c1 = b.add_edge(n[1], n[3], 2, 0.05).unwrap();
+    let c2 = b.add_edge(n[2], n[4], 1, 0.15).unwrap();
+    b.add_edge(n[3], n[5], 2, 0.1).unwrap();
+    b.add_edge(n[4], n[5], 2, 0.25).unwrap();
+    b.add_edge(n[1], n[2], 1, 0.3).unwrap();
+    (b.build(), FlowDemand::new(n[0], n[5], 2), vec![c1, c2])
+}
+
+/// A `kind bottleneck` checkpoint, written by the flat one-level engine
+/// before that engine was folded into the plan interpreter (10-config
+/// budget: the source side stopped at configuration 5, the sink side had
+/// not started), still resumes — as the one `Cut` slot of the depth-0 plan —
+/// to the uninterrupted value bit for bit, and a further interruption then
+/// writes a plan checkpoint.
+#[test]
+fn legacy_bottleneck_checkpoint_resumes_bit_identically_on_the_plan() {
+    /// The flat engine's uninterrupted value on this instance.
+    const EXACT_BITS: u64 = 0x3fe8_9fbe_76c8_b43a;
+    let (net, d, cut) = double_diamond();
+    let exact = reliability_bottleneck(&net, d, &cut, &CalcOptions::default()).unwrap();
+    assert_eq!(exact.to_bits(), EXACT_BITS);
+    let legacy = Checkpoint::from_text(include_str!("fixtures/legacy-bottleneck.ckpt")).unwrap();
+    assert!(matches!(legacy.kind, CheckpointKind::Bottleneck { .. }));
+
+    let whole = ReliabilityCalculator::new()
+        .resume(&net, d, &legacy)
+        .unwrap();
+    let Outcome::Complete(rep) = whole else {
+        panic!("an unlimited resume must finish");
+    };
+    assert_eq!(rep.reliability.to_bits(), EXACT_BITS);
+    assert_eq!(rep.algorithm, "bottleneck");
+
+    let sliced = calc(Strategy::Auto, limit(2), false);
+    let Outcome::Partial(p) = sliced.resume(&net, d, &legacy).unwrap() else {
+        panic!("a 2-config slice must interrupt the 9 remaining configurations");
+    };
+    let text = p.checkpoint.to_text();
+    assert!(text.lines().any(|l| l == "kind plan"), "{text}");
+    let mut ck = Checkpoint::from_text(&text).unwrap();
+    let r = loop {
+        match sliced.resume(&net, d, &ck).unwrap() {
+            Outcome::Complete(rep) => break rep.reliability,
+            Outcome::Partial(p) => {
+                assert!(p.r_low <= exact + 1e-12 && exact <= p.r_high + 1e-12);
+                ck = Checkpoint::from_text(&p.checkpoint.to_text()).unwrap();
+            }
+        }
+    };
+    assert_eq!(r.to_bits(), EXACT_BITS);
 }

@@ -63,31 +63,43 @@ proptest! {
     }
 }
 
-/// Stratified Monte Carlo on a planted-bottleneck instance: the estimator
-/// covers the exact value and does not lose to plain sampling.
+/// Stratified (dagger) Monte Carlo on a planted-bottleneck instance: the
+/// estimator covers the exact value and does not lose to plain sampling.
 #[test]
 fn stratified_mc_on_bottleneck_instance() {
+    use flowrel::montecarlo::{engine, EstimatorKind, McBudget, McReport, McSettings, StopTarget};
     let (inst, cut) = flowrel::workloads::generators::barbell(Default::default());
     let d = FlowDemand::new(inst.source, inst.sink, inst.demand);
     let exact = reliability_naive(&inst.net, d, &CalcOptions::default()).unwrap();
-    let strat = flowrel::montecarlo::estimate_stratified(
-        &inst.net,
-        inst.source,
-        inst.sink,
-        inst.demand,
-        &cut,
-        40_000,
-        11,
-    )
-    .unwrap();
+    let estimate = |estimator: EstimatorKind, strata: &[_]| -> McReport {
+        let settings = McSettings {
+            seed: 11,
+            estimator,
+            strata: strata.to_vec(),
+            target: StopTarget {
+                max_samples: 40_000,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let budget = McBudget::unlimited();
+        let out = engine::run(
+            &inst.net,
+            inst.source,
+            inst.sink,
+            inst.demand,
+            &settings,
+            &budget,
+            false,
+        );
+        *out.unwrap().report()
+    };
+    let strat = estimate(EstimatorKind::Dagger, &cut);
     assert!(
-        strat.covers(exact) || (strat.mean - exact).abs() < 0.01,
-        "stratified {:?} misses exact {exact}",
-        strat
+        (strat.ci_low <= exact && exact <= strat.ci_high) || (strat.mean - exact).abs() < 0.01,
+        "stratified {strat:?} misses exact {exact}"
     );
-    let plain =
-        flowrel::montecarlo::estimate(&inst.net, inst.source, inst.sink, inst.demand, 40_000, 11)
-            .unwrap();
+    let plain = estimate(EstimatorKind::Crude, &[]);
     assert!(
         strat.std_error <= plain.std_error * 1.25,
         "stratification should not inflate variance: {} vs {}",

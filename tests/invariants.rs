@@ -159,11 +159,23 @@ fn monte_carlo_covers_exact() {
     let d = FlowDemand::new(n[0], n[3], 1);
     let exact = reliability_naive(&net, d, &CalcOptions::default()).unwrap();
     for seed in 0..5 {
-        let est = montecarlo::estimate(&net, n[0], n[3], 1, 40_000, seed).unwrap();
+        let settings = montecarlo::McSettings {
+            seed,
+            estimator: montecarlo::EstimatorKind::Crude,
+            target: montecarlo::StopTarget {
+                max_samples: 40_000,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let budget = montecarlo::McBudget::unlimited();
+        let out = montecarlo::engine::run(&net, n[0], n[3], 1, &settings, &budget, false).unwrap();
+        let est = out.report();
         assert!(
-            est.covers(exact) || (est.mean - exact).abs() < 0.01,
-            "seed {seed}: CI {:?} misses exact {exact}",
-            est.ci95()
+            (est.ci_low <= exact && exact <= est.ci_high) || (est.mean - exact).abs() < 0.01,
+            "seed {seed}: CI [{}, {}] misses exact {exact}",
+            est.ci_low,
+            est.ci_high
         );
     }
 }

@@ -7,9 +7,7 @@ use flowrel::core::{
     reliability_naive, Budget, CalcOptions, Checkpoint, FlowDemand, Outcome, ReliabilityCalculator,
     Strategy,
 };
-use flowrel::montecarlo::{
-    self, engine, EstimatorKind, McBudget, McOutcome, McSettings, StopTarget,
-};
+use flowrel::montecarlo::{engine, EstimatorKind, McBudget, McOutcome, McSettings, StopTarget};
 use flowrel::netgraph::{EdgeId, GraphKind, Network, NetworkBuilder};
 
 /// Two parallel links with `p = 1e-4`: `R = 1 - 1e-8`, the rare-event
@@ -40,24 +38,46 @@ fn small_barbell() -> (Network, FlowDemand, Vec<EdgeId>) {
 }
 
 /// Regression for the degenerate stopping bug: on a `R = 1 - 1e-8`
-/// instance, `estimate_until` used to stop after its first batch with
-/// `std_error == 0` and a zero-width interval excluding the true value.
+/// instance, a stopping rule on the normal-approximation half-width stops
+/// after its first all-successes batch with `std_error == 0` and a
+/// zero-width interval excluding the true value. The engine's `ci_half`
+/// target uses the Wilson half-width, which never reaches zero.
 #[test]
 fn rare_event_interval_is_never_degenerate() {
     let (net, d) = rare_two_links();
     let exact = 1.0 - 1e-8;
-    let est =
-        montecarlo::estimate_until(&net, d.source, d.sink, d.demand, 1e-4, 200_000, 3).unwrap();
+    let settings = McSettings {
+        seed: 3,
+        estimator: EstimatorKind::Crude,
+        target: StopTarget {
+            ci_half: Some(1e-4),
+            max_samples: 200_000,
+            ..Default::default()
+        },
+        batch: 4096,
+        ..Default::default()
+    };
+    let out = engine::run(
+        &net,
+        d.source,
+        d.sink,
+        d.demand,
+        &settings,
+        &McBudget::unlimited(),
+        false,
+    )
+    .unwrap();
+    let est = out.report();
     assert!(
         est.samples > 4096,
         "an all-successes first batch must not satisfy the stopping rule \
          (stopped at {} samples)",
         est.samples
     );
-    let (lo, hi) = est.ci95();
+    let (lo, hi) = (est.ci_low, est.ci_high);
     assert!(hi > lo, "interval must have nonzero width: [{lo}, {hi}]");
     assert!(
-        est.covers(exact),
+        lo <= exact && exact <= hi,
         "[{lo}, {hi}] must cover {exact} even when every sample succeeded"
     );
 }
@@ -105,15 +125,6 @@ fn estimators_cover_naive_enumeration() {
             );
         }
     }
-
-    // The plain stratified helper covers too.
-    let strat =
-        montecarlo::estimate_stratified(&net, d.source, d.sink, d.demand, &cut, 30_000, 9).unwrap();
-    assert!(
-        strat.covers(exact) || (strat.mean - exact).abs() < 0.01,
-        "stratified {} misses exact {exact}",
-        strat.mean
-    );
 }
 
 /// For a fixed seed, the serial run, the parallel run, and an
