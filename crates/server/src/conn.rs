@@ -98,6 +98,16 @@ impl Conn {
         }
     }
 
+    /// Switches non-blocking mode, so a read takes only bytes that have
+    /// already arrived (`WouldBlock` when there are none).
+    pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.set_nonblocking(nb),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.set_nonblocking(nb),
+        }
+    }
+
     /// Half-closes the write side (used by the fault harness to simulate
     /// impolite disconnects) or both sides.
     pub fn shutdown(&self, how: std::net::Shutdown) -> io::Result<()> {

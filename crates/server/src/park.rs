@@ -94,13 +94,15 @@ fn block(text: &str, key: &str) -> Result<(String, String), String> {
     let len: usize = len_str
         .parse()
         .map_err(|_| format!("'{key}' length is not a number"))?;
-    if rest.len() < len + 1 {
-        return Err(format!("'{key}' block truncated"));
-    }
-    if !rest.is_char_boundary(len) || &rest[len..len + 1] != "\n" {
+    // `len` comes from the file: a corrupt one may be any u64.
+    let end = len
+        .checked_add(1)
+        .filter(|&end| end <= rest.len())
+        .ok_or_else(|| format!("'{key}' block truncated"))?;
+    if !rest.is_char_boundary(len) || &rest[len..end] != "\n" {
         return Err(format!("'{key}' block length does not line up"));
     }
-    Ok((rest[..len].to_string(), rest[len + 1..].to_string()))
+    Ok((rest[..len].to_string(), rest[end..].to_string()))
 }
 
 /// The in-memory registry of parked sessions, optionally mirrored to disk.
@@ -223,13 +225,35 @@ mod tests {
         assert_eq!(ParkedSession::from_text(&s.to_text()).unwrap(), s);
     }
 
+    /// `s`'s text with the byte length of block `key` replaced by `len`.
+    fn with_block_len(s: &ParkedSession, key: &str, len: &str) -> String {
+        let true_len = match key {
+            "net" => s.net_text.len(),
+            _ => s.checkpoint_text.len(),
+        };
+        s.to_text().replace(
+            &format!("\n{key} {true_len}\n"),
+            &format!("\n{key} {len}\n"),
+        )
+    }
+
     #[test]
     fn rejects_corrupt_text() {
         let s = sample("abc-123");
         let text = s.to_text();
-        assert!(ParkedSession::from_text(&text[..text.len() / 2]).is_err());
+        for cut in 0..text.len() {
+            assert!(
+                ParkedSession::from_text(&text[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
         assert!(ParkedSession::from_text("garbage").is_err());
         assert!(ParkedSession::from_text(&text.replace("net 4", "net 40000")).is_err());
+        for key in ["net", "checkpoint"] {
+            let huge = with_block_len(&s, key, &u64::MAX.to_string());
+            assert_ne!(huge, text, "the {key} length was not replaced");
+            assert!(ParkedSession::from_text(&huge).is_err(), "{key} u64::MAX");
+        }
     }
 
     #[test]
@@ -254,8 +278,10 @@ mod tests {
         let lot = ParkingLot::new(Some(dir.clone())).unwrap();
         lot.park(sample("bb-2")).unwrap();
         drop(lot);
-        // corrupt stray file must not block restart
+        // corrupt stray files must not block restart
         std::fs::write(dir.join("junk.park"), "not a session").unwrap();
+        let huge = with_block_len(&sample("cc-3"), "net", &u64::MAX.to_string());
+        std::fs::write(dir.join("cc-3.park"), huge).unwrap();
         let restarted = ParkingLot::new(Some(dir.clone())).unwrap();
         assert_eq!(restarted.count(), 1);
         assert_eq!(restarted.take("bb-2").unwrap(), sample("bb-2"));

@@ -356,9 +356,12 @@ pub struct StatsSnapshot {
     pub active_sessions: u64,
     /// Requests currently inside the worker pool.
     pub active_requests: u64,
-    /// Requests answered (complete, partial, or error) since start.
+    /// Compute and resume requests answered since start with anything but
+    /// an overloaded refusal: complete, partial, cache hit or error. Each
+    /// such request counts in exactly one of `served` and `shed`.
     pub served: u64,
-    /// Requests shed by admission control since start.
+    /// Compute and resume requests refused by admission control (code 6)
+    /// since start.
     pub shed: u64,
     /// Protocol-level errors (malformed frames etc.) since start.
     pub protocol_errors: u64,

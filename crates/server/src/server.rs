@@ -8,10 +8,13 @@
 //!   short socket read timeout as its polling interval — that is how idle
 //!   and slow-loris deadlines, shutdown, and client disconnects are noticed
 //!   without an event loop;
-//! * a compute request runs on a **scoped worker thread** while the session
-//!   thread keeps probing the socket: pings are answered mid-compute, EOF
+//! * a compute request runs on a **scoped worker thread**. The session
+//!   thread's only wait is then the worker's channel, 10 ms at a time;
+//!   between waits it takes whatever bytes have already arrived on the
+//!   socket, without blocking. Pings and stats are answered mid-compute, EOF
 //!   trips the request's [`CancelToken`] so an abandoned sweep stops within
-//!   one budget poll instead of running to completion.
+//!   one budget poll instead of running to completion, and the reply leaves
+//!   as soon as the worker hands it over.
 //!
 //! Robustness invariants the fault-injection suite pins down:
 //!
@@ -59,7 +62,8 @@ pub struct ServerConfig {
     pub default_timeout: Duration,
     /// Hard ceiling any requested deadline is clamped to.
     pub max_timeout: Duration,
-    /// A session with no complete frame for this long is reaped.
+    /// A session is reaped after this long with no frame to answer; the
+    /// clock restarts as each reply goes out.
     pub idle_timeout: Duration,
     /// A *partial* frame pending this long is a slow-loris: reaped.
     pub partial_frame_timeout: Duration,
@@ -113,6 +117,20 @@ struct Shared {
     lot: ParkingLot,
     counters: Counters,
     shutdown: CancelToken,
+}
+
+impl Shared {
+    /// Fresh server state; restores parked sessions from `state_dir`.
+    fn new(config: ServerConfig) -> std::io::Result<Shared> {
+        Ok(Shared {
+            admission: Admission::new(config.max_concurrent, config.max_waiting, config.max_wait),
+            cache: InstanceCache::new(config.cache_capacity),
+            lot: ParkingLot::new(config.state_dir.clone())?,
+            counters: Counters::default(),
+            shutdown: CancelToken::new(),
+            config,
+        })
+    }
 }
 
 /// A running server. Dropping the handle does *not* stop the server; call
@@ -185,15 +203,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = Listener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let lot = ParkingLot::new(config.state_dir.clone())?;
-    let shared = Arc::new(Shared {
-        admission: Admission::new(config.max_concurrent, config.max_waiting, config.max_wait),
-        cache: InstanceCache::new(config.cache_capacity),
-        lot,
-        counters: Counters::default(),
-        shutdown: CancelToken::new(),
-        config,
-    });
+    let shared = Arc::new(Shared::new(config)?);
     let accept_shared = Arc::clone(&shared);
     let accept_thread = std::thread::Builder::new()
         .name("flowrel-accept".into())
@@ -270,14 +280,16 @@ fn session_loop(mut conn: Conn, shared: Arc<Shared>) {
         return;
     }
     let mut reader = FrameReader::new(shared.config.max_frame, shared.config.json_limits);
-    let mut last_frame = Instant::now();
+    // Restarts when a frame has been answered, not when it arrived, so a
+    // compute longer than `idle_timeout` never counts as idle time.
+    let mut last_active = Instant::now();
     let mut partial_since: Option<Instant> = None;
     let mut buf = [0u8; 16 * 1024];
     loop {
         if shared.shutdown.is_tripped() {
             return; // drain: in-flight computes already finished parking
         }
-        if last_frame.elapsed() > shared.config.idle_timeout {
+        if last_active.elapsed() > shared.config.idle_timeout {
             return; // idle reaping
         }
         if let Some(t0) = partial_since {
@@ -306,7 +318,6 @@ fn session_loop(mut conn: Conn, shared: Arc<Shared>) {
         loop {
             match reader.try_frame() {
                 Ok(Some(frame)) => {
-                    last_frame = Instant::now();
                     let keep_going = match Request::from_json(&frame, &shared.config.proto_limits) {
                         Ok(req) => handle_request(&mut conn, &shared, &mut reader, req),
                         Err(e) => {
@@ -317,6 +328,7 @@ fn session_loop(mut conn: Conn, shared: Arc<Shared>) {
                             send(&mut conn, &shared, &Response::Error(e))
                         }
                     };
+                    last_active = Instant::now();
                     if !keep_going {
                         return;
                     }
@@ -361,15 +373,26 @@ fn handle_request(
         }
         Request::Compute(c) => {
             let resp = serve_compute(conn, shared, reader, c);
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
+            count_answer(shared, &resp);
             send(conn, shared, &resp)
         }
         Request::Resume { token } => {
             let resp = serve_resume(conn, shared, reader, &token);
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
+            count_answer(shared, &resp);
             send(conn, shared, &resp)
         }
     }
+}
+
+/// Counts a compute or resume request in exactly one of `shed` (admission
+/// refused it) and `served` (any other answer), so the two sum to the
+/// requests received.
+fn count_answer(shared: &Shared, resp: &Response) {
+    let counter = match resp {
+        Response::Error(e) if e.code == code::OVERLOADED => &shared.counters.shed,
+        _ => &shared.counters.served,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 fn strategy_of(spec: &StrategySpec) -> Strategy {
@@ -419,11 +442,14 @@ fn calculator_for(
 
 /// Admission + the probed compute, shared by `compute` and `resume`.
 ///
-/// `work` runs on a scoped worker thread; this (session) thread probes the
-/// socket meanwhile — answering pings (heartbeat stays alive through long
-/// computations), tripping `cancel` on client EOF or server drain — so a
-/// dead client never keeps a sweep running. The probe shares the session's
-/// [`FrameReader`], so frames straddling the compute window stay aligned.
+/// `work` runs on a scoped worker thread. This (session) thread waits on the
+/// worker's channel 10 ms at a time and returns the moment the result
+/// arrives. Between waits it probes the socket without blocking: it takes
+/// only bytes that have already arrived, answers pings and stats (heartbeat
+/// stays alive through long computations), and trips `cancel` on client EOF
+/// or server drain, so a dead client never keeps a sweep running. The probe
+/// shares the session's [`FrameReader`], so frames straddling the compute
+/// window stay aligned.
 fn admit_and_run(
     conn: &mut Conn,
     shared: &Shared,
@@ -441,7 +467,6 @@ fn admit_and_run(
     let permit = match shared.admission.admit() {
         Ok(p) => p,
         Err(over) => {
-            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
             let mut e = WireError::new(
                 code::OVERLOADED,
                 "overloaded",
@@ -484,21 +509,28 @@ fn admit_and_run(
             if shared.shutdown.is_tripped() {
                 cancel.trip(); // drain: park at the next budget poll
             }
-            match conn.read(&mut probe_buf) {
+            match read_arrived(conn, &mut probe_buf) {
                 Ok(0) => cancel.trip(), // client vanished mid-request
                 Ok(n) => {
                     reader.push(&probe_buf[..n]);
                     probe_frames(conn, shared, reader, cancel);
                 }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 Err(_) => cancel.trip(),
             }
         }
     });
     drop(permit);
     result
+}
+
+/// Reads only bytes that have already arrived (`WouldBlock` when none have),
+/// leaving the connection blocking again before anything is written to it.
+fn read_arrived(conn: &mut Conn, buf: &mut [u8]) -> std::io::Result<usize> {
+    conn.set_nonblocking(true)?;
+    let read = conn.read(buf);
+    conn.set_nonblocking(false)?;
+    read
 }
 
 /// Drains frames arriving *during* a compute: pings keep the heartbeat
@@ -788,4 +820,44 @@ fn serve_resume(
         }
     }
     resp
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixStream;
+
+    /// The reply leaves when the worker hands it over, not when a socket read
+    /// times out: with the session's 20 ms read timeout on the socket and an
+    /// open but silent client, a 15 ms compute returns well before the
+    /// 10 + 20 ms that one channel wait plus one blocking read would take.
+    #[test]
+    fn admit_and_run_returns_when_the_work_ends() {
+        let shared = Shared::new(ServerConfig::default()).unwrap();
+        let fast = (0..5)
+            .filter(|_| {
+                let (server_end, _client_end) = UnixStream::pair().unwrap();
+                server_end
+                    .set_read_timeout(Some(Duration::from_millis(20)))
+                    .unwrap();
+                let mut conn = Conn::Unix(server_end);
+                let mut reader =
+                    FrameReader::new(shared.config.max_frame, shared.config.json_limits);
+                let cancel = CancelToken::new();
+                let t0 = Instant::now();
+                let resp = admit_and_run(&mut conn, &shared, &mut reader, &cancel, || {
+                    std::thread::sleep(Duration::from_millis(15));
+                    Response::Pong
+                });
+                let elapsed = t0.elapsed();
+                assert_eq!(resp, Response::Pong);
+                assert!(
+                    !cancel.is_tripped(),
+                    "a silent client is not a vanished one"
+                );
+                elapsed < Duration::from_millis(25)
+            })
+            .count();
+        assert!(fast >= 4, "only {fast} of 5 replies returned within 25 ms");
+    }
 }

@@ -26,6 +26,16 @@ fn instance(w: usize, h: usize, seed: u64) -> (String, f64) {
     (text, reference)
 }
 
+/// A long sweep (24 edges, ~17M configs) as `.fnet` text, for tests that
+/// need a compute in flight and discard its answer.
+fn big_net() -> String {
+    let big = grid(4, 4, 5);
+    fnet::serialize(
+        &big.net,
+        Some(FlowDemand::new(big.source, big.sink, big.demand)),
+    )
+}
+
 fn naive_compute(net: String) -> ComputeRequest {
     ComputeRequest {
         net,
@@ -117,16 +127,10 @@ fn client_disconnect_mid_compute_cancels_the_sweep() {
     })
     .unwrap();
 
-    // Fire a long sweep (24 edges, ~17M configs), then vanish without
-    // reading the reply. (No reference needed: the answer is discarded.)
-    let big = grid(4, 4, 5);
-    let big_net = fnet::serialize(
-        &big.net,
-        Some(FlowDemand::new(big.source, big.sink, big.demand)),
-    );
+    // Fire a long sweep, then vanish without reading the reply.
     let mut client = Client::connect(handle.addr()).unwrap();
     client
-        .send_only(&flowrel_server::Request::Compute(naive_compute(big_net)))
+        .send_only(&flowrel_server::Request::Compute(naive_compute(big_net())))
         .unwrap();
     wait_for("big request admitted", || {
         handle.stats().active_requests == 1
@@ -197,6 +201,9 @@ fn deadline_storm_parks_distinct_tokens_that_all_resume_exactly() {
     }
     assert_eq!(handle.stats().parked, 0);
     assert_still_serving(&handle);
+    // Six computes, six resumes and the final check, each counted once.
+    let stats = handle.stats();
+    assert_eq!(stats.served + stats.shed, 13, "{stats:?}");
     handle.begin_shutdown();
     handle.join();
 }
@@ -250,6 +257,42 @@ fn concurrent_resume_race_has_exactly_one_winner() {
         (1, 1),
         "claim must be exclusive: {outcomes:?}"
     );
+    assert_still_serving(&handle);
+    // The parking compute, two resumes and the final check.
+    let stats = handle.stats();
+    assert_eq!(stats.served + stats.shed, 4, "{stats:?}");
+    handle.begin_shutdown();
+    handle.join();
+}
+
+/// A request shed by admission control counts in `shed` only, so
+/// `served + shed` stays the number of compute requests.
+#[test]
+fn a_shed_request_counts_in_shed_and_not_in_served() {
+    let handle = start(ServerConfig {
+        max_concurrent: 1,
+        max_waiting: 0,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut long = Client::connect(handle.addr()).unwrap();
+    long.send_only(&flowrel_server::Request::Compute(naive_compute(big_net())))
+        .unwrap();
+    wait_for("big request admitted", || {
+        handle.stats().active_requests == 1
+    });
+    let (net, _) = instance(3, 3, 5);
+    let mut second = Client::connect(handle.addr()).unwrap();
+    match second.compute(naive_compute(net)).unwrap() {
+        Response::Error(e) => {
+            assert_eq!(e.code, code::OVERLOADED, "{e}");
+            assert!(e.retry_after_ms.is_some());
+        }
+        other => panic!("expected an overloaded refusal, got {other:?}"),
+    }
+    assert!(matches!(long.recv().unwrap(), Response::Complete { .. }));
+    let stats = handle.stats();
+    assert_eq!((stats.served, stats.shed), (1, 1), "{stats:?}");
     assert_still_serving(&handle);
     handle.begin_shutdown();
     handle.join();

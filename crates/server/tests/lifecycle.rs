@@ -7,11 +7,13 @@
 //! test covers the same state machine without needing to fork a process.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use flowrel_core::{fnet, FlowDemand, ReliabilityCalculator, Strategy};
-use flowrel_server::server::{start, ServerConfig};
-use flowrel_server::{Client, ComputeRequest, Response, StrategySpec};
+use flowrel_server::proto::code;
+use flowrel_server::server::{start, ServerConfig, ServerHandle};
+use flowrel_server::{Client, ComputeRequest, Request, Response, StrategySpec};
 use workloads::grid;
 
 /// A grid instance as `.fnet` text plus its exact naive reliability.
@@ -25,6 +27,34 @@ fn instance(w: usize, h: usize, seed: u64) -> (String, f64) {
         .unwrap()
         .reliability;
     (text, reference)
+}
+
+/// The 4×4 grid: 24 edges, ~17M configs, a naive sweep of hundreds of
+/// milliseconds — long enough to send frames while it runs.
+fn big() -> &'static (String, f64) {
+    static BIG: OnceLock<(String, f64)> = OnceLock::new();
+    BIG.get_or_init(|| instance(4, 4, 5))
+}
+
+/// Waits until the server has admitted a request.
+fn wait_admitted(server: &ServerHandle) {
+    let t0 = Instant::now();
+    while server.stats().active_requests == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "request never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn assert_exact(resp: Response, reference: f64) {
+    match resp {
+        Response::Complete { reliability, .. } => {
+            assert_eq!(reliability.to_bits(), reference.to_bits());
+        }
+        other => panic!("expected Complete, got {other:?}"),
+    }
 }
 
 fn naive_compute(net: String) -> ComputeRequest {
@@ -156,7 +186,7 @@ fn drain_restart_resume_is_bit_identical() {
     let (small_net, small_ref) = instance(3, 3, 5);
     let (park_a_net, park_a_ref) = instance(3, 3, 1);
     let (park_b_net, park_b_ref) = instance(3, 3, 2);
-    let (big_net, big_ref) = instance(4, 4, 5);
+    let (big_net, big_ref) = big().clone();
 
     // Phase 1: mixed-deadline traffic against the live server.
     // An unbudgeted request completes with the exact answer...
@@ -214,14 +244,7 @@ fn drain_restart_resume_is_bit_identical() {
         let mut c = Client::connect(&big_addr).unwrap();
         c.compute(naive_compute(big_clone)).unwrap()
     });
-    let admitted = Instant::now();
-    while server.stats().active_requests == 0 {
-        assert!(
-            admitted.elapsed() < Duration::from_secs(10),
-            "big request never admitted"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_admitted(&server);
     std::thread::sleep(Duration::from_millis(30));
     server.begin_shutdown();
 
@@ -304,4 +327,119 @@ fn drain_restart_resume_is_bit_identical() {
     assert_eq!(server.stats().panics, 0);
     server.join();
     let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// The idle clock restarts when a reply goes out: a compute far longer than
+/// `idle_timeout` does not cost the client its connection, while a session
+/// that then really sits idle is still reaped.
+#[test]
+fn a_compute_longer_than_the_idle_timeout_keeps_its_connection() {
+    let (big_net, big_ref) = big();
+    let server = start(ServerConfig {
+        idle_timeout: Duration::from_millis(50),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert_exact(
+        client.compute(naive_compute(big_net.clone())).unwrap(),
+        *big_ref,
+    );
+    client
+        .ping()
+        .expect("the session must outlive a compute longer than idle_timeout");
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(
+        client.ping().is_err(),
+        "an idle session must still be reaped"
+    );
+    assert_eq!(server.stats().panics, 0);
+    server.begin_shutdown();
+    server.join();
+}
+
+/// Heartbeats during a compute: `ping` and `stats` are answered while the
+/// worker sweeps, ahead of the compute's own reply.
+#[test]
+fn ping_and_stats_during_a_compute_are_answered_before_the_reply() {
+    let (big_net, big_ref) = big();
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .send_only(&Request::Compute(naive_compute(big_net.clone())))
+        .unwrap();
+    wait_admitted(&server);
+    client.send_only(&Request::Ping).unwrap();
+    assert_eq!(client.recv().unwrap(), Response::Pong);
+    client.send_only(&Request::Stats).unwrap();
+    match client.recv().unwrap() {
+        Response::Stats(s) => assert_eq!(s.active_requests, 1, "{s:?}"),
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    assert_exact(client.recv().unwrap(), *big_ref);
+    assert_eq!(server.stats().panics, 0);
+    server.begin_shutdown();
+    server.join();
+}
+
+/// One request at a time per connection: a second compute sent during a
+/// compute is refused with a protocol error, and the first still completes
+/// with the exact answer.
+#[test]
+fn a_second_compute_during_a_compute_is_refused_and_the_first_completes() {
+    let (big_net, big_ref) = big();
+    let (small_net, _) = instance(3, 3, 5);
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .send_only(&Request::Compute(naive_compute(big_net.clone())))
+        .unwrap();
+    wait_admitted(&server);
+    client
+        .send_only(&Request::Compute(naive_compute(small_net)))
+        .unwrap();
+    match client.recv().unwrap() {
+        Response::Error(e) => assert_eq!(e.code, code::PROTOCOL, "{e}"),
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    assert_exact(client.recv().unwrap(), *big_ref);
+    let stats = server.stats();
+    assert_eq!((stats.served, stats.shed, stats.panics), (1, 0, 0));
+    server.begin_shutdown();
+    server.join();
+}
+
+/// Computes sent back to back on one connection, each as soon as the
+/// previous reply arrives, are never refused, and the counters have settled
+/// by the time the last reply is read.
+#[test]
+fn back_to_back_computes_on_one_connection_are_never_refused() {
+    let instances: Vec<(String, f64)> = (100..150).map(|seed| instance(3, 3, seed)).collect();
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for (net, reference) in &instances {
+        match client.compute(naive_compute(net.clone())).unwrap() {
+            Response::Complete {
+                reliability,
+                cached,
+                ..
+            } => {
+                assert_eq!(reliability.to_bits(), reference.to_bits());
+                assert!(!cached, "the instances are distinct");
+            }
+            other => panic!("expected Complete, got {other:?}"),
+        }
+    }
+    match client.stats().unwrap() {
+        Response::Stats(s) => {
+            assert_eq!(
+                (s.served, s.shed, s.active_requests, s.panics),
+                (50, 0, 0, 0),
+                "{s:?}"
+            );
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    server.begin_shutdown();
+    server.join();
 }
