@@ -8,9 +8,9 @@ use std::time::Instant;
 use flowrel_bench::{barbell_with_edges, demand_of};
 use flowrel_core::{
     decompose, enumerate_assignments, esary_proschan_bounds, find_bottleneck_set,
-    reliability_bottleneck, reliability_bridge, reliability_factoring, reliability_naive,
-    validate_bottleneck_set, AccumulationMethod, Assignment, AssignmentModel, CalcOptions,
-    FlowDemand, RealizationTable, ReliabilityCalculator, SideOracle,
+    reliability_bottleneck, reliability_factoring, reliability_naive, validate_bottleneck_set,
+    AccumulationMethod, Assignment, AssignmentModel, CalcOptions, FlowDemand, RealizationTable,
+    ReliabilityCalculator, SideOracle, Strategy,
 };
 use flowrel_overlay::{hybrid_tree_mesh, multi_tree, random_mesh, single_tree, ChurnModel, Peer};
 use maxflow::SolverKind;
@@ -52,11 +52,17 @@ fn fig2() {
     let d = FlowDemand::new(inst.source, inst.sink, inst.demand);
     let opts = CalcOptions::default();
     let naive = reliability_naive(&inst.net, d, &opts).unwrap();
-    let via_bridge = reliability_bridge(&inst.net, d, &opts).unwrap();
+    // Eq. 1 is the k = 1 case of the bottleneck theorem: the planner splits
+    // at the bridge and recurses into any bridges inside the sides
+    let via_bridge = ReliabilityCalculator::new()
+        .with_strategy(Strategy::BottleneckAuto { max_k: 1 })
+        .run_complete(&inst.net, d)
+        .unwrap()
+        .reliability;
     let via_bottleneck = reliability_bottleneck(&inst.net, d, &[bridge], &opts).unwrap();
     println!("bridge link: {bridge} (the figure's red e9)");
     println!("naive enumeration        : {naive:.9}");
-    println!("Eq. 1 decomposition      : {via_bridge:.9}");
+    println!("Eq. 1 (k = 1 plan)       : {via_bridge:.9}");
     println!("bottleneck algorithm k=1 : {via_bottleneck:.9}");
     println!(
         "max |Δ| = {:.2e}\n",

@@ -1,7 +1,7 @@
 //! `flowrel` — command-line reliability calculator.
 //!
 //! ```text
-//! flowrel compute <file.fnet> [--strategy auto|naive|factoring|bridge|sp|mc] [--exact]
+//! flowrel compute <file.fnet> [--strategy auto|naive|factoring|mc] [--exact]
 //!                             [--timeout SECS] [--max-configs N]
 //!                             [--max-depth N] [--explain] [--hybrid]
 //!                             [--checkpoint PATH] [--resume PATH]
@@ -49,9 +49,8 @@ use std::time::Duration;
 use flowrel_core::fnet as format;
 use flowrel_core::{
     birnbaum_importance, enumerate_minimal_cuts, esary_proschan_bounds, find_bottleneck_set,
-    reliability_bridge, reliability_naive_exact, reliability_sp_reduced, validate_bottleneck_set,
-    Budget, CalcOptions, CancelToken, Checkpoint, DecompositionPlan, FlowDemand, Outcome,
-    ReliabilityCalculator, ReliabilityError, Strategy,
+    reliability_naive_exact, Budget, CalcOptions, CancelToken, Checkpoint, DecompositionPlan,
+    FlowDemand, Outcome, ReliabilityCalculator, ReliabilityError, Strategy,
 };
 use netgraph::find_bridges;
 
@@ -100,7 +99,7 @@ impl From<ReliabilityError> for CliError {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
-         flowrel compute <file.fnet> [--strategy auto|naive|factoring|bridge|sp|mc] [--exact] [--parallel] [--no-certs]\n  \
+         flowrel compute <file.fnet> [--strategy auto|naive|factoring|mc] [--exact] [--parallel] [--no-certs]\n  \
          {:17}[--no-incremental] [--no-reduce] [--parallel-threshold N] [--timeout SECS] [--max-configs N]\n  \
          {:17}[--max-depth N] [--explain] [--hybrid] [--checkpoint PATH] [--resume PATH]\n  \
          {:17}[--mc-estimator auto|crude|dagger|perm] [--rel-err EPS] [--ci HALF] [--samples N] [--seed S]\n  \
@@ -224,68 +223,27 @@ fn mc_settings(args: &[String]) -> Result<montecarlo::McSettings, CliError> {
     })
 }
 
-/// `--explain`: prints the decomposition plan the calculator will execute
-/// for the bottleneck-planning strategies, or says why there is none.
-/// Informational only — planning failures here never abort the computation.
+/// `--explain`: prints the decomposition plan the auto strategy will
+/// execute, or says why there is none. Informational only — planning
+/// failures here never abort the computation.
 fn explain(net: &netgraph::Network, demand: FlowDemand, strategy: &Strategy, opts: &CalcOptions) {
-    if matches!(
-        strategy,
-        Strategy::Naive | Strategy::Factoring | Strategy::MonteCarlo(_)
-    ) {
+    if *strategy != Strategy::Auto {
         println!("plan: not applicable ({strategy:?} does not use the decomposition planner)");
         return;
     }
     // Mirror the calculator: reduce first (when enabled), plan the remnant,
     // and render the plan wrapped in the reduction node so link references
     // read in the original numbering.
-    let mut red = opts
+    let red = opts
         .reduce
         .then(|| flowrel_core::reduce(net, demand, true, opts.solver))
         .filter(|r| !r.is_identity());
-    // An explicit cut arrives in original link ids; translate it into the
-    // reduced id space, or drop the reduction when a referenced link no
-    // longer exists (the calculator runs such strategies unreduced too).
-    let cut = match strategy {
-        Strategy::Bottleneck(cut) => Some(match &red {
-            Some(r) => {
-                let map = r.original_to_reduced();
-                let mut translated = Vec::new();
-                let ok = cut
-                    .iter()
-                    .all(|e| match map.get(e.index()).copied().flatten() {
-                        Some(x) => {
-                            if !translated.contains(&x) {
-                                translated.push(x);
-                            }
-                            true
-                        }
-                        None => false,
-                    });
-                if ok {
-                    translated
-                } else {
-                    red = None;
-                    cut.clone()
-                }
-            }
-            None => cut.clone(),
-        }),
-        _ => None,
-    };
     if let Some(r) = &red {
         println!("{}", r.summary());
     }
     let (pnet, pdemand) = red.as_ref().map_or((net, demand), |r| (&r.net, r.demand));
-    let max_k = match strategy {
-        Strategy::BottleneckAuto { max_k } => *max_k,
-        _ => 3,
-    };
-    let planned = match &cut {
-        Some(c) => validate_bottleneck_set(pnet, pdemand.source, pdemand.sink, c)
-            .and_then(|set| DecompositionPlan::plan_on_set(pnet, pdemand, &set, opts, max_k)),
-        None => find_bottleneck_set(pnet, pdemand.source, pdemand.sink, max_k)
-            .and_then(|set| DecompositionPlan::plan_on_set(pnet, pdemand, &set, opts, max_k)),
-    };
+    let planned = find_bottleneck_set(pnet, pdemand.source, pdemand.sink, 3)
+        .and_then(|set| DecompositionPlan::plan_on_set(pnet, pdemand, &set, opts, 3));
     match planned {
         Ok(plan) => {
             let plan = match &red {
@@ -352,18 +310,12 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
         None | Some("auto") => Strategy::Auto,
         Some("naive") => Strategy::Naive,
         Some("factoring") => Strategy::Factoring,
-        Some("bridge") => {
-            let r = reliability_bridge(&file.net, demand, &CalcOptions::default())?;
-            println!("reliability = {r:.12}  (bridge decomposition)");
-            return Ok(());
-        }
-        Some("sp") => {
-            let r = reliability_sp_reduced(&file.net, demand, &CalcOptions::default())?;
-            println!("reliability = {r:.12}  (series-parallel reduction + factoring)");
-            return Ok(());
-        }
         Some("mc") => Strategy::MonteCarlo(mc_settings(args)?),
-        Some(other) => return Err(CliError::usage(format!("unknown strategy '{other}'"))),
+        Some(other) => {
+            return Err(CliError::usage(format!(
+                "unknown strategy '{other}' (expected auto|naive|factoring|mc)"
+            )))
+        }
     };
     let time_limit = flag_value(args, "--timeout")
         .map(|v| {

@@ -141,3 +141,35 @@ fn unknown_flags_and_stray_arguments_are_usage_errors() {
     assert_eq!(code, Some(0), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn compute_accepts_exactly_the_four_strategies() {
+    let quickstart = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/quickstart.fnet"
+    );
+    for strategy in ["auto", "naive", "factoring", "mc"] {
+        let (code, err) = flowrel(&["compute", quickstart, "--strategy", strategy]);
+        assert_eq!(code, Some(0), "{strategy}: {err}");
+    }
+    for removed in ["bridge", "sp"] {
+        let (code, err) = flowrel(&["compute", quickstart, "--strategy", removed]);
+        assert_eq!(code, Some(2), "{removed}: {err}");
+        assert!(err.contains("auto|naive|factoring|mc"), "{removed}: {err}");
+    }
+}
+
+#[test]
+fn importance_beyond_the_link_mask_is_an_error_not_a_panic() {
+    // the 71-link grid `flowrel generate grid 6 7 3` writes
+    let inst = workloads::generators::grid(6, 7, 3);
+    assert_eq!(inst.net.edge_count(), 71);
+    let demand = FlowDemand::new(inst.source, inst.sink, inst.demand);
+    let dir = std::env::temp_dir().join(format!("flowrel-cli-grid67-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("grid.fnet");
+    std::fs::write(&path, format::serialize(&inst.net, Some(demand))).unwrap();
+    let (code, err) = flowrel(&["importance", path.to_str().unwrap()]);
+    assert_eq!(code, Some(12), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

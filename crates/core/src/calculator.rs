@@ -10,7 +10,7 @@ use crate::checkpoint::{
 };
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
-use crate::factoring::{reliability_factoring, reliability_factoring_anytime, FactoringOutcome};
+use crate::factoring::{reliability_factoring_anytime, FactoringOutcome};
 use crate::naive::{reliability_naive_anytime, NaiveOutcome};
 use crate::options::CalcOptions;
 use crate::plan::{DecompositionPlan, PlanOutcome};
@@ -258,21 +258,6 @@ impl ReliabilityCalculator {
                     return Err(ReliabilityError::MultiState {
                         operation: "the factoring (conditioning) strategy",
                     });
-                }
-                if self.options.budget.is_unlimited() {
-                    // The recursive engine and the flat anytime engine agree
-                    // to ~1e-15 but not bit for bit (the summation order
-                    // differs); keep the long-standing recursive path for
-                    // unbudgeted runs.
-                    let r = reliability_factoring(net, demand, &self.options)?;
-                    return Ok(Outcome::Complete(Box::new(ReliabilityReport {
-                        reliability: r,
-                        certified: true,
-                        interval: (r, r),
-                        algorithm: "factoring",
-                        bottleneck: None,
-                        mc: None,
-                    })));
                 }
                 self.factoring_outcome(net, demand, "factoring", None)
             }
@@ -836,15 +821,7 @@ impl ReliabilityCalculator {
             // the (mixed-radix) naive sweep instead
             return self.naive_outcome(net, demand, "auto:naive", None);
         }
-        let r = reliability_factoring(net, demand, &self.options)?;
-        Ok(Outcome::Complete(Box::new(ReliabilityReport {
-            reliability: r,
-            certified: true,
-            interval: (r, r),
-            algorithm: "auto:factoring",
-            bottleneck: None,
-            mc: None,
-        })))
+        self.factoring_outcome(net, demand, "auto:factoring", None)
     }
 }
 
@@ -906,20 +883,24 @@ mod tests {
         assert_eq!(b.set.edges, vec![EdgeId(3)]);
     }
 
+    /// K_n with every link at capacity 1 and failure probability `p`,
+    /// demand 1 between the first and the last node.
+    fn complete_graph(n: usize, p: f64) -> (Network, FlowDemand) {
+        let mut b = NetworkBuilder::new(GraphKind::Undirected);
+        let ids = b.add_nodes(n);
+        for i in 0..n {
+            for j in i + 1..n {
+                b.add_edge(ids[i], ids[j], 1, p).unwrap();
+            }
+        }
+        (b.build(), FlowDemand::new(ids[0], ids[n - 1], 1))
+    }
+
     #[test]
     fn auto_falls_back_on_dense_graph() {
         // K5 is 4-edge-connected: no bottleneck set with k <= 3 exists
-        let mut b = NetworkBuilder::new(GraphKind::Undirected);
-        let n = b.add_nodes(5);
-        for i in 0..5 {
-            for j in i + 1..5 {
-                b.add_edge(n[i], n[j], 1, 0.2).unwrap();
-            }
-        }
-        let net = b.build();
-        let rep = ReliabilityCalculator::new()
-            .run_complete(&net, FlowDemand::new(n[0], n[4], 1))
-            .unwrap();
+        let (net, d) = complete_graph(5, 0.2);
+        let rep = ReliabilityCalculator::new().run_complete(&net, d).unwrap();
         assert_eq!(rep.algorithm, "auto:factoring");
         assert!(rep.bottleneck.is_none());
     }
@@ -927,15 +908,7 @@ mod tests {
     #[test]
     fn auto_uses_star_cut_on_k4() {
         // K4 does have a k = 3 bottleneck: the three links incident to t
-        let mut b = NetworkBuilder::new(GraphKind::Undirected);
-        let n = b.add_nodes(4);
-        for i in 0..4 {
-            for j in i + 1..4 {
-                b.add_edge(n[i], n[j], 1, 0.2).unwrap();
-            }
-        }
-        let net = b.build();
-        let d = FlowDemand::new(n[0], n[3], 1);
+        let (net, d) = complete_graph(4, 0.2);
         let rep = ReliabilityCalculator::new().run_complete(&net, d).unwrap();
         assert_eq!(rep.algorithm, "auto:bottleneck");
         let naive = ReliabilityCalculator::new()
@@ -947,24 +920,36 @@ mod tests {
 
     #[test]
     fn budgeted_run_yields_partial_and_resume_finishes() {
-        let (net, d) = barbell();
-        for strategy in [Strategy::Naive, Strategy::Bottleneck(vec![EdgeId(3)])] {
+        let (barbell, barbell_d) = barbell();
+        let (k6, k6_d) = complete_graph(6, 0.2);
+        // factoring narrows its interval only when a conditioning frame
+        // resolves (first at the sixth frame on K6), so it gets more a run
+        for (strategy, net, d, max_configs) in [
+            (Strategy::Naive, &barbell, barbell_d, 2),
+            (
+                Strategy::Bottleneck(vec![EdgeId(3)]),
+                &barbell,
+                barbell_d,
+                2,
+            ),
+            (Strategy::Factoring, &k6, k6_d, 8),
+        ] {
             let exact = ReliabilityCalculator::new()
                 .with_strategy(strategy.clone())
-                .run_complete(&net, d)
+                .run_complete(net, d)
                 .unwrap()
                 .reliability;
             let budgeted = ReliabilityCalculator {
                 strategy: strategy.clone(),
                 options: CalcOptions {
                     budget: crate::budget::Budget {
-                        max_configs: Some(2),
+                        max_configs: Some(max_configs),
                         ..Default::default()
                     },
                     ..Default::default()
                 },
             };
-            let mut out = budgeted.run(&net, d).unwrap();
+            let mut out = budgeted.run(net, d).unwrap();
             let mut partials = 0usize;
             let r = loop {
                 match out {
@@ -979,19 +964,39 @@ mod tests {
                         assert!(p.r_high - p.r_low < 1.0 || partials == 0);
                         partials += 1;
                         assert!(partials < 10_000, "resume loop must make progress");
-                        out = budgeted.resume(&net, d, &p.checkpoint).unwrap();
+                        out = budgeted.resume(net, d, &p.checkpoint).unwrap();
                     }
                 }
             };
             assert!(
                 partials > 0,
-                "{strategy:?}: a 2-config budget must interrupt"
+                "{strategy:?}: a {max_configs}-config budget must interrupt"
             );
             assert_eq!(
                 r, exact,
                 "{strategy:?}: serial resume must be bit-identical"
             );
         }
+    }
+
+    #[test]
+    fn unbudgeted_factoring_beyond_the_link_mask_is_an_error() {
+        let mut b = NetworkBuilder::new(GraphKind::Undirected);
+        let n = b.add_nodes(66);
+        for i in 0..65 {
+            b.add_edge(n[i], n[i + 1], 1, 0.01).unwrap();
+        }
+        let net = b.build();
+        let out = ReliabilityCalculator::new()
+            .with_strategy(Strategy::Factoring)
+            .run(&net, FlowDemand::new(n[0], n[65], 1));
+        assert!(
+            matches!(
+                out,
+                Err(ReliabilityError::EdgeMaskOverflow { count: 65, .. })
+            ),
+            "{out:?}"
+        );
     }
 
     #[test]
@@ -1251,5 +1256,106 @@ mod tests {
         let b = rep.bottleneck.unwrap();
         assert_eq!(b.set.k(), 1);
         assert_eq!(b.assignment_count, 1);
+    }
+
+    /// Chain of diamonds connected by bridges.
+    fn diamond_chain(segments: usize) -> (Network, FlowDemand) {
+        let mut b = NetworkBuilder::new(GraphKind::Undirected);
+        let mut prev = b.add_node();
+        let source = prev;
+        for i in 0..segments {
+            let a = b.add_node();
+            let c = b.add_node();
+            let d = b.add_node();
+            b.add_edge(prev, a, 1, 0.1).unwrap();
+            b.add_edge(prev, c, 1, 0.2).unwrap();
+            b.add_edge(a, d, 1, 0.15).unwrap();
+            b.add_edge(c, d, 1, 0.25).unwrap();
+            if i + 1 < segments {
+                let next = b.add_node();
+                b.add_edge(d, next, 1, 0.05).unwrap(); // bridge
+                prev = next;
+            } else {
+                prev = d;
+            }
+        }
+        let sink = prev;
+        (b.build(), FlowDemand::new(source, sink, 1))
+    }
+
+    /// Eq. 1's bridge split: the bottleneck plan restricted to `k = 1`.
+    fn bridge_split(net: &Network, d: FlowDemand) -> Result<Outcome, ReliabilityError> {
+        ReliabilityCalculator::new()
+            .with_strategy(Strategy::BottleneckAuto { max_k: 1 })
+            .run(net, d)
+    }
+
+    fn naive(net: &Network, d: FlowDemand) -> Result<Outcome, ReliabilityError> {
+        ReliabilityCalculator::new()
+            .with_strategy(Strategy::Naive)
+            .run(net, d)
+    }
+
+    #[test]
+    fn bridge_split_needs_a_bridge() {
+        // one diamond has no bridge: the k = 1 plan has nothing to split on,
+        // while the auto strategy still answers
+        let (net, d) = diamond_chain(1);
+        assert!(matches!(
+            bridge_split(&net, d),
+            Err(ReliabilityError::NoBottleneckFound)
+        ));
+        let auto = ReliabilityCalculator::new().run(&net, d).unwrap();
+        let naive = naive(&net, d).unwrap();
+        assert!((auto.reliability().unwrap() - naive.reliability().unwrap()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bridge_split_matches_naive_on_chains() {
+        for segments in 2..=3 {
+            let (net, d) = diamond_chain(segments);
+            let naive = naive(&net, d).unwrap().reliability().unwrap();
+            let split = bridge_split(&net, d).unwrap().reliability().unwrap();
+            assert!(
+                (naive - split).abs() < 1e-12,
+                "segments={segments}: {naive} vs {split}"
+            );
+        }
+    }
+
+    #[test]
+    fn bridge_split_scales_past_naive_limits() {
+        // 8 segments: 8*4 + 7 = 39 links — naive refuses at default bounds,
+        // the k = 1 plan sweeps each 4-link segment alone
+        let (net, d) = diamond_chain(8);
+        assert!(matches!(
+            naive(&net, d),
+            Err(ReliabilityError::TooManyEdges { .. })
+        ));
+        let r = bridge_split(&net, d).unwrap().reliability().unwrap();
+        // per segment: both paths fail: (1-0.9*0.85)(1-0.8*0.75) each
+        let seg: f64 = 1.0 - (1.0 - 0.9 * 0.85) * (1.0 - 0.8 * 0.75);
+        let expected = seg.powi(8) * 0.95f64.powi(7);
+        assert!((r - expected).abs() < 1e-9, "{r} vs {expected}");
+    }
+
+    #[test]
+    fn bridge_capacity_below_demand_gives_zero() {
+        let mut b = NetworkBuilder::new(GraphKind::Undirected);
+        let n = b.add_nodes(2);
+        b.add_edge(n[0], n[1], 1, 0.1).unwrap();
+        let net = b.build();
+        let r = bridge_split(&net, FlowDemand::new(n[0], n[1], 2))
+            .unwrap()
+            .reliability();
+        assert_eq!(r, Some(0.0));
+    }
+
+    #[test]
+    fn bridge_split_matches_the_exact_rational_reference() {
+        let (net, d) = diamond_chain(2);
+        let f = bridge_split(&net, d).unwrap().reliability().unwrap();
+        let e = crate::naive::reliability_naive_exact(&net, d, &CalcOptions::default()).unwrap();
+        assert!((f - e.to_f64()).abs() < 1e-12);
     }
 }

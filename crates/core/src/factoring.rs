@@ -14,109 +14,47 @@
 //! Worst case remains `O(2^|E|)`, but on most instances the bounds collapse
 //! large parts of the tree; the benches quantify the gap against the naive
 //! sweep and the bottleneck algorithm.
+//!
+//! One body serves every caller: [`reliability_factoring_anytime`] runs it
+//! under the options' budget, and [`reliability_factoring`] and
+//! [`crate::importance::birnbaum_importance`] run it under an unlimited
+//! sentinel, so a resumed budgeted run returns the same bits as an
+//! unbudgeted one.
 
-use exactmath::BigRational;
 use netgraph::{EdgeMask, Network};
 
+use crate::budget::BudgetSentinel;
 use crate::checkpoint::FactoringCheckpoint;
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::CalcOptions;
 use crate::oracle::DemandOracle;
 use crate::preprocess::relevance_reduce;
-use crate::weight::{edge_weights, edge_weights_exact, EdgeWeights, Weight};
+use crate::weight::edge_weights;
 
-struct Factoring<'a, W: Weight> {
-    oracle: DemandOracle,
-    weights: &'a EdgeWeights<W>,
-    m: usize,
-    /// Number of conditioning leaves visited (for the ablation bench).
-    leaves: u64,
-}
-
-impl<W: Weight> Factoring<'_, W> {
-    /// `alive` — links conditioned alive; `undecided` — not yet conditioned.
-    /// Everything else is conditioned failed.
-    fn go(&mut self, alive: u64, undecided: u64) -> W {
-        // optimistic: all undecided alive
-        if !self
-            .oracle
-            .admits(EdgeMask::from_bits(alive | undecided, self.m))
-        {
-            self.leaves += 1;
-            return W::zero();
-        }
-        // pessimistic: all undecided failed
-        if self.oracle.admits(EdgeMask::from_bits(alive, self.m)) {
-            self.leaves += 1;
-            return W::one();
-        }
-        // both bounds open: condition on the lowest undecided link
-        let e = undecided.trailing_zeros() as usize;
-        let rest = undecided & !(1 << e);
-        let (up, down) = &self.weights[e];
-        let (up, down) = (up.clone(), down.clone());
-        let with_e = self.go(alive | 1 << e, rest);
-        let without_e = self.go(alive, rest);
-        up.mul(&with_e).add(&down.mul(&without_e))
-    }
-}
-
-/// Factoring reliability over any weight domain; also returns the number of
-/// conditioning leaves visited (2^|E| would be the unpruned count).
-pub fn reliability_factoring_weighted<W: Weight>(
-    net: &Network,
-    demand: FlowDemand,
-    weights: &EdgeWeights<W>,
-    opts: &CalcOptions,
-) -> Result<(W, u64), ReliabilityError> {
-    demand.validate(net)?;
-    assert_eq!(weights.len(), net.edge_count(), "one weight pair per link");
-    // delete links on no s→t path (exact; see crate::preprocess)
-    let reduced = relevance_reduce(net, demand);
-    if reduced.removed > 0 {
-        let w: EdgeWeights<W> = reduced
-            .edge_origin
-            .iter()
-            .map(|&i| weights[i].clone())
-            .collect();
-        return reliability_factoring_weighted(&reduced.net, reduced.demand, &w, opts);
-    }
-    let m = net.edge_count();
-    assert!(
-        m <= EdgeMask::MAX_EDGES,
-        "factoring supports at most 64 links"
-    );
-    if m > opts.max_enum_edges.max(40) {
-        // factoring prunes aggressively, so allow somewhat more than naive,
-        // but still refuse hopeless instances
-        return Err(ReliabilityError::TooManyEdges {
-            count: m,
-            max: opts.max_enum_edges.max(40),
-        });
-    }
-    if demand.demand == 0 {
-        return Ok((W::one(), 1));
-    }
-    let oracle = DemandOracle::new(net, demand.source, demand.sink, demand.demand, opts.solver);
-    let mut f = Factoring {
-        oracle,
-        weights,
-        m,
-        leaves: 0,
-    };
-    let all = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
-    let r = f.go(0, all);
-    Ok((r, f.leaves))
-}
-
-/// Factoring reliability, `f64`.
+/// Factoring reliability, `f64`: the anytime body run to completion.
 pub fn reliability_factoring(
     net: &Network,
     demand: FlowDemand,
     opts: &CalcOptions,
 ) -> Result<f64, ReliabilityError> {
-    reliability_factoring_weighted(net, demand, &edge_weights(net), opts).map(|(r, _)| r)
+    factoring_complete(net, demand, &edge_weights(net), opts)
+}
+
+/// Runs the anytime body to completion with caller-supplied `(alive, failed)`
+/// weight pairs in place of each link's `(1 − p, p)`; importance measures pin
+/// a link by passing `(1, 0)` or `(0, 1)` for it.
+pub(crate) fn factoring_complete(
+    net: &Network,
+    demand: FlowDemand,
+    weights: &[(f64, f64)],
+    opts: &CalcOptions,
+) -> Result<f64, ReliabilityError> {
+    let sentinel = BudgetSentinel::unlimited();
+    match factoring_on(net, demand, weights, opts, &sentinel, None)? {
+        FactoringOutcome::Complete { reliability, .. } => Ok(reliability),
+        FactoringOutcome::Partial { .. } => unreachable!("unlimited budgets always finish"),
+    }
 }
 
 /// Result of a budgeted factoring (conditioning) run.
@@ -124,9 +62,7 @@ pub fn reliability_factoring(
 pub enum FactoringOutcome {
     /// The budget sufficed: every conditioning subtree was resolved.
     Complete {
-        /// The exact reliability (up to compensated `f64` rounding; the
-        /// flat traversal may differ from [`reliability_factoring`] in the
-        /// last bits because the summation order differs).
+        /// The exact reliability (up to compensated `f64` rounding).
         reliability: f64,
         /// Conditioning leaves resolved.
         leaves: u64,
@@ -147,8 +83,8 @@ pub enum FactoringOutcome {
 
 /// Probability mass of a conditioning frame: the product, over links already
 /// conditioned (neither undecided nor outside the network), of the alive or
-/// failed weight. A pure function of the frame, so an interrupted run and
-/// its resumption compute identical masses.
+/// failed weight. A pure function of the frame, so a resumed run recomputes
+/// the masses its interrupted run carried.
 fn frame_mass(weights: &[(f64, f64)], all: u64, alive: u64, undecided: u64) -> f64 {
     let mut decided = all & !undecided;
     let mut mass = 1.0;
@@ -175,28 +111,43 @@ fn neumaier_add(acc: &mut (f64, f64), x: f64) {
     acc.0 = t;
 }
 
-/// Budget-aware factoring: conditions depth-first exactly like
-/// [`reliability_factoring`], but polls `opts.budget` between conditioning
-/// steps (one grant unit per frame) and, when interrupted, returns the
-/// bounds accumulated so far plus a checkpoint of the unresolved subtrees.
+/// Budget-aware factoring: conditions depth-first (alive branch first) and
+/// polls `opts.budget` between conditioning steps (one grant unit per frame).
+/// When interrupted it returns the bounds accumulated so far plus a
+/// checkpoint of the unresolved subtrees.
 ///
-/// Determinism: the explicit stack reproduces the recursive visit order
-/// (alive-branch first), frame masses are pure functions of the frame, and
+/// Determinism: frame masses are pure functions of the frame, and
 /// feasible-leaf masses enter one compensated accumulator in visit order —
 /// so an interrupted run resumed to completion returns the same bits as an
-/// uninterrupted `reliability_factoring_anytime` run.
+/// uninterrupted run, budgeted or not.
 pub fn reliability_factoring_anytime(
     net: &Network,
     demand: FlowDemand,
     opts: &CalcOptions,
     resume: Option<&FactoringCheckpoint>,
 ) -> Result<FactoringOutcome, ReliabilityError> {
+    let sentinel = opts.budget.start();
+    factoring_on(net, demand, &edge_weights(net), opts, &sentinel, resume)
+}
+
+/// The one factoring body: relevance-reduces the instance (carrying the
+/// weight pairs along), then conditions under `sentinel`.
+fn factoring_on(
+    net: &Network,
+    demand: FlowDemand,
+    weights: &[(f64, f64)],
+    opts: &CalcOptions,
+    sentinel: &BudgetSentinel,
+    resume: Option<&FactoringCheckpoint>,
+) -> Result<FactoringOutcome, ReliabilityError> {
     demand.validate(net)?;
+    debug_assert_eq!(weights.len(), net.edge_count(), "one weight pair per link");
     let reduced = relevance_reduce(net, demand);
     if reduced.removed > 0 {
         // The reduction is deterministic, so checkpoint frames always refer
         // to the same reduced link indexing on both runs.
-        return reliability_factoring_anytime(&reduced.net, reduced.demand, opts, resume);
+        let w: Vec<(f64, f64)> = reduced.edge_origin.iter().map(|&i| weights[i]).collect();
+        return factoring_on(&reduced.net, reduced.demand, &w, opts, sentinel, resume);
     }
     let m = net.edge_count();
     if m > EdgeMask::MAX_EDGES {
@@ -205,6 +156,8 @@ pub fn reliability_factoring_anytime(
             max: EdgeMask::MAX_EDGES,
         });
     }
+    // factoring prunes aggressively, so allow somewhat more than naive, but
+    // still refuse hopeless instances
     if m > opts.max_enum_edges.max(40) {
         return Err(ReliabilityError::TooManyEdges {
             count: m,
@@ -217,11 +170,6 @@ pub fn reliability_factoring_anytime(
             leaves: 1,
         });
     }
-    let weights: Vec<(f64, f64)> = net
-        .edges()
-        .iter()
-        .map(|e| (1.0 - e.fail_prob, e.fail_prob))
-        .collect();
     let all = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
     let (mut acc, mut leaves, mut stack) = match resume {
         Some(ck) => {
@@ -234,24 +182,23 @@ pub fn reliability_factoring_anytime(
             }
             // `pending` is stored in visit order; the stack pops from the
             // back, so reverse it.
-            let mut st = ck.pending.clone();
-            st.reverse();
+            let st = (ck.pending.iter().rev())
+                .map(|&(a, u)| (a, u, frame_mass(weights, all, a, u)))
+                .collect();
             (ck.accum, ck.leaves, st)
         }
-        None => ((0.0, 0.0), 0, vec![(0u64, all)]),
+        None => ((0.0, 0.0), 0, vec![(0u64, all, 1.0)]),
     };
     let mut oracle = DemandOracle::new(net, demand.source, demand.sink, demand.demand, opts.solver);
-    let sentinel = opts.budget.start();
-    while let Some((alive, undecided)) = stack.pop() {
+    // Each frame carries its mass. Links are conditioned in ascending index
+    // order, so the carried product multiplies the same factors in the same
+    // order as `frame_mass` and is bit-identical to it.
+    while let Some((alive, undecided, mass)) = stack.pop() {
         if sentinel.grant(1, 1) == 0 {
-            // This frame and everything below it on the stack is pending;
-            // restore visit order for the checkpoint.
-            stack.push((alive, undecided));
-            stack.reverse();
-            let pending_mass: f64 = stack
-                .iter()
-                .map(|&(a, u)| frame_mass(&weights, all, a, u))
-                .sum();
+            // This frame and everything below it on the stack is pending,
+            // in reverse visit order.
+            stack.push((alive, undecided, mass));
+            let pending_mass: f64 = stack.iter().rev().map(|f| f.2).sum();
             let r_low = (acc.0 + acc.1).clamp(0.0, 1.0);
             return Ok(FactoringOutcome::Partial {
                 r_low,
@@ -260,7 +207,7 @@ pub fn reliability_factoring_anytime(
                 checkpoint: FactoringCheckpoint {
                     accum: acc,
                     leaves,
-                    pending: stack,
+                    pending: stack.iter().rev().map(|&(a, u, _)| (a, u)).collect(),
                 },
             });
         }
@@ -272,16 +219,16 @@ pub fn reliability_factoring_anytime(
         // pessimistic: all undecided failed
         if oracle.admits(EdgeMask::from_bits(alive, m)) {
             leaves += 1;
-            neumaier_add(&mut acc, frame_mass(&weights, all, alive, undecided));
+            neumaier_add(&mut acc, mass);
             continue;
         }
         // both bounds open: condition on the lowest undecided link; push the
-        // failed branch first so the alive branch pops first, matching the
-        // recursive visit order.
+        // failed branch first so the alive branch pops first.
         let e = undecided.trailing_zeros();
         let rest = undecided & !(1u64 << e);
-        stack.push((alive, rest));
-        stack.push((alive | 1 << e, rest));
+        let (up, down) = weights[e as usize];
+        stack.push((alive, rest, mass * down));
+        stack.push((alive | 1 << e, rest, mass * up));
     }
     Ok(FactoringOutcome::Complete {
         reliability: (acc.0 + acc.1).clamp(0.0, 1.0),
@@ -289,19 +236,10 @@ pub fn reliability_factoring_anytime(
     })
 }
 
-/// Factoring reliability, exact.
-pub fn reliability_factoring_exact(
-    net: &Network,
-    demand: FlowDemand,
-    opts: &CalcOptions,
-) -> Result<BigRational, ReliabilityError> {
-    reliability_factoring_weighted(net, demand, &edge_weights_exact(net), opts).map(|(r, _)| r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::reliability_naive;
+    use crate::naive::{reliability_naive, reliability_naive_exact};
     use netgraph::{GraphKind, NetworkBuilder, NodeId};
 
     fn mesh() -> (Network, FlowDemand) {
@@ -324,15 +262,26 @@ mod tests {
         (b.build(), FlowDemand::new(n[0], n[4], 1))
     }
 
+    /// The unbudgeted anytime run: reliability and conditioning leaves.
+    fn complete(net: &Network, d: FlowDemand) -> (f64, u64) {
+        match reliability_factoring_anytime(net, d, &CalcOptions::default(), None).unwrap() {
+            FactoringOutcome::Complete {
+                reliability,
+                leaves,
+            } => (reliability, leaves),
+            FactoringOutcome::Partial { .. } => panic!("unlimited budget must complete"),
+        }
+    }
+
     #[test]
     fn matches_naive() {
         let (net, d) = mesh();
         let naive = reliability_naive(&net, d, &CalcOptions::default()).unwrap();
-        let (fact, leaves) =
-            reliability_factoring_weighted(&net, d, &edge_weights(&net), &CalcOptions::default())
-                .unwrap();
+        let (fact, leaves) = complete(&net, d);
         assert!((naive - fact).abs() < 1e-12);
         assert!(leaves < 1 << net.edge_count(), "pruning must cut the tree");
+        let r = reliability_factoring(&net, d, &CalcOptions::default()).unwrap();
+        assert_eq!(r.to_bits(), fact.to_bits(), "one body, one answer");
     }
 
     #[test]
@@ -348,9 +297,7 @@ mod tests {
     fn infeasible_is_zero_in_one_leaf() {
         let (net, mut d) = mesh();
         d.demand = 50;
-        let (r, leaves) =
-            reliability_factoring_weighted(&net, d, &edge_weights(&net), &CalcOptions::default())
-                .unwrap();
+        let (r, leaves) = complete(&net, d);
         assert_eq!(r, 0.0);
         assert_eq!(leaves, 1, "optimistic bound fires at the root");
     }
@@ -363,10 +310,9 @@ mod tests {
         let net = b.build();
         // p = 0: even "all failed" keeps... no — all-failed removes the link.
         // The pessimistic bound does not fire, but the tree is tiny anyway.
-        let (r, _) = reliability_factoring_weighted(
+        let r = reliability_factoring(
             &net,
             FlowDemand::new(NodeId(0), NodeId(1), 1),
-            &edge_weights(&net),
             &CalcOptions::default(),
         )
         .unwrap();
@@ -374,40 +320,17 @@ mod tests {
     }
 
     #[test]
-    fn exact_matches_float() {
+    fn matches_the_exact_rational_reference() {
         let (net, d) = mesh();
         let f = reliability_factoring(&net, d, &CalcOptions::default()).unwrap();
-        let e = reliability_factoring_exact(&net, d, &CalcOptions::default()).unwrap();
+        let e = reliability_naive_exact(&net, d, &CalcOptions::default()).unwrap();
         assert!((f - e.to_f64()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn anytime_unbudgeted_matches_recursive() {
-        let (net, d) = mesh();
-        let recursive = reliability_factoring(&net, d, &CalcOptions::default()).unwrap();
-        match reliability_factoring_anytime(&net, d, &CalcOptions::default(), None).unwrap() {
-            FactoringOutcome::Complete {
-                reliability,
-                leaves,
-            } => {
-                assert!((reliability - recursive).abs() < 1e-12);
-                assert!(leaves > 0);
-            }
-            FactoringOutcome::Partial { .. } => panic!("unlimited budget must complete"),
-        }
     }
 
     #[test]
     fn anytime_resume_is_bit_identical() {
         let (net, d) = mesh();
-        let uninterrupted =
-            match reliability_factoring_anytime(&net, d, &CalcOptions::default(), None).unwrap() {
-                FactoringOutcome::Complete {
-                    reliability,
-                    leaves,
-                } => (reliability, leaves),
-                FactoringOutcome::Partial { .. } => panic!("unlimited budget must complete"),
-            };
+        let uninterrupted = complete(&net, d);
         let tiny = CalcOptions {
             budget: crate::budget::Budget {
                 max_configs: Some(3),

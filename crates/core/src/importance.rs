@@ -10,13 +10,14 @@
 //! tool ranks links by (see `examples/capacity_planning.rs`).
 //!
 //! Computed exactly with two conditioned factoring runs per link (conditioning
-//! is just pinning the link's weight pair).
+//! is just pinning the link's weight pair), each run to completion by the
+//! same body as [`crate::factoring::reliability_factoring`].
 
 use netgraph::Network;
 
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
-use crate::factoring::reliability_factoring_weighted;
+use crate::factoring::factoring_complete;
 use crate::options::CalcOptions;
 use crate::weight::edge_weights;
 
@@ -48,17 +49,17 @@ pub fn birnbaum_importance(
 ) -> Result<LinkImportance, ReliabilityError> {
     demand.validate(net)?;
     let base_weights = edge_weights(net);
-    let (reliability, _) = reliability_factoring_weighted(net, demand, &base_weights, opts)?;
+    let reliability = factoring_complete(net, demand, &base_weights, opts)?;
     let m = net.edge_count();
     let mut birnbaum = Vec::with_capacity(m);
     let mut improvement = Vec::with_capacity(m);
     for e in 0..m {
         let mut up = base_weights.clone();
         up[e] = (1.0, 0.0); // link e always works
-        let (r_up, _) = reliability_factoring_weighted(net, demand, &up, opts)?;
+        let r_up = factoring_complete(net, demand, &up, opts)?;
         let mut down = base_weights.clone();
         down[e] = (0.0, 1.0); // link e always failed
-        let (r_down, _) = reliability_factoring_weighted(net, demand, &down, opts)?;
+        let r_down = factoring_complete(net, demand, &down, opts)?;
         let ib = r_up - r_down;
         birnbaum.push(ib);
         improvement.push(net.edge(netgraph::EdgeId::from(e)).fail_prob * ib);

@@ -8,27 +8,30 @@
 //! `D = (s, t, d)`, the **reliability** is the probability that the random
 //! subgraph of surviving links admits an s–t flow of value at least `d`.
 //!
-//! The crate provides four exact algorithms plus a strategy-picking
+//! The crate provides three exact algorithms plus a strategy-picking
 //! calculator:
 //!
 //! * [`naive::reliability_naive`] — enumerate all `2^|E|` failure
 //!   configurations (the paper's baseline, Fig. 1);
-//! * [`bridge::reliability_bridge`] — recursive series decomposition along
-//!   bridges (the paper's `k = 1` case, Fig. 2 / Eq. 1);
 //! * [`algorithm::reliability_bottleneck`] — the paper's main contribution:
 //!   decomposition along a set of α-bottleneck links, per-side realization
 //!   arrays (Section III-C), and inclusion–exclusion accumulation over
 //!   supported assignments (Section IV); budgeted and checkpointed runs
-//!   execute the same split through the plan interpreter ([`plan`]);
+//!   execute the same split through the plan interpreter ([`plan`]). The
+//!   bridge split of Fig. 2 / Eq. 1 is its `k = 1` case: the planner runs it
+//!   as a [`PlanNode::Bridge`], and [`Strategy::BottleneckAuto`] with
+//!   `max_k: 1` selects it;
 //! * [`factoring::reliability_factoring`] — classic conditioning with
 //!   flow-based pruning, an additional exact comparator;
 //! * [`calculator::ReliabilityCalculator`] — picks a strategy automatically
 //!   and reports what it did.
 //!
-//! Every algorithm exists in `f64` (with compensated summation) and exact
-//! [`exactmath::BigRational`] forms; the generic code is shared through the
-//! [`weight::Weight`] abstraction, so the exact form validates the float form
-//! down to the last operation.
+//! The naive sweep and the one-level bottleneck split exist in `f64` (with
+//! compensated summation) and exact [`exactmath::BigRational`] forms; the
+//! generic code is shared through the [`weight::Weight`] abstraction, so the
+//! exact form validates the float form down to the last operation. Factoring
+//! and the plan interpreter are `f64` only; tests validate them against the
+//! exact naive sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +41,6 @@ pub mod algorithm;
 pub mod assign;
 pub mod bottleneck;
 pub mod bounds;
-pub mod bridge;
 pub mod budget;
 pub mod calculator;
 pub mod certcache;
@@ -72,8 +74,6 @@ pub use bottleneck::{
     find_all_bottleneck_sets, find_bottleneck_set, validate_bottleneck_set, BottleneckSet,
 };
 pub use bounds::{enumerate_minimal_cuts, enumerate_simple_paths, esary_proschan_bounds};
-pub use bridge::reliability_bridge;
-pub use bridge::reliability_bridge_exact;
 pub use budget::{Budget, BudgetSentinel, CancelToken};
 pub use calculator::{Outcome, PartialReport, ReliabilityCalculator, ReliabilityReport, Strategy};
 pub use certcache::{CertCache, SolveCert, SweepStats};
@@ -84,10 +84,7 @@ pub use checkpoint::{
 pub use decompose::{decompose, Decomposition, Side};
 pub use demand::FlowDemand;
 pub use error::ReliabilityError;
-pub use factoring::{
-    reliability_factoring, reliability_factoring_anytime, reliability_factoring_exact,
-    FactoringOutcome,
-};
+pub use factoring::{reliability_factoring, reliability_factoring_anytime, FactoringOutcome};
 pub use fnet::NetFile;
 pub use importance::{birnbaum_importance, LinkImportance};
 pub use montecarlo::{
@@ -108,7 +105,7 @@ pub use polynomial::{reliability_polynomial, ReliabilityPolynomial};
 pub use preprocess::{relevance_reduce, RelevantNetwork};
 pub use reduce::{reduce, ReduceStats, Reduction};
 pub use spectrum::RealizationSpectrum;
-pub use spreduce::{reduce_unit_demand, reliability_sp_reduced, ReducedNetwork, ReductionStats};
+pub use spreduce::{reduce_unit_demand, ReducedNetwork, ReductionStats};
 pub use sweep::{
     sweep_spectrum, sweep_spectrum_budgeted, sweep_sum, sweep_sum_budgeted, sweep_table,
     sweep_table_budgeted, PartialSpectrum, PartialSum, PartialTable, SweepConfig, SweepOracle,

@@ -80,52 +80,18 @@ pub fn reliability_naive(
 }
 
 /// [`reliability_naive`] plus the sweep-engine counters (configurations
-/// tested, solver calls, certificate hits).
+/// tested, solver calls, certificate hits): the budget-aware sweep run under
+/// an unlimited sentinel.
 pub fn reliability_naive_with_stats(
     net: &Network,
     demand: FlowDemand,
     opts: &CalcOptions,
 ) -> Result<(f64, SweepStats), ReliabilityError> {
-    demand.validate(net)?;
-    let reduced = relevance_reduce(net, demand);
-    if reduced.removed > 0 {
-        return reliability_naive_with_stats(&reduced.net, reduced.demand, opts);
+    let sentinel = BudgetSentinel::unlimited();
+    match reliability_naive_anytime_on(net, demand, opts, &sentinel, None)? {
+        NaiveOutcome::Complete { reliability, stats } => Ok((reliability, stats)),
+        NaiveOutcome::Partial { .. } => unreachable!("unlimited sweeps always finish"),
     }
-    if net.has_multistate() {
-        let sentinel = BudgetSentinel::unlimited();
-        return match reliability_naive_mixed_on(net, demand, opts, &sentinel, None)? {
-            NaiveOutcome::Complete { reliability, stats } => Ok((reliability, stats)),
-            NaiveOutcome::Partial { .. } => unreachable!("unlimited sweeps always finish"),
-        };
-    }
-    let (fallible, pinned) = check_bounds(net, demand, opts)?;
-    let mut oracle = DemandOracle::new(net, demand.source, demand.sink, demand.demand, opts.solver);
-    // quick exits
-    if demand.demand == 0 {
-        return Ok((1.0, SweepStats::default()));
-    }
-    if oracle.max_flow_all_alive() < demand.demand {
-        return Ok((0.0, SweepStats::default()));
-    }
-    let weights: Vec<(f64, f64)> = fallible
-        .iter()
-        .map(|&i| {
-            let p = net.edges()[i].fail_prob;
-            (1.0 - p, p)
-        })
-        .collect();
-    let geom = SweepGeometry {
-        fallible: &fallible,
-        pinned,
-        edge_count: net.edge_count(),
-    };
-    let (r, stats) = sweep_sum::<f64, CompensatedAcc, _>(
-        &oracle,
-        &geom,
-        &weights,
-        &SweepConfig::from_opts(opts),
-    );
-    Ok((r, stats))
 }
 
 /// Outcome of a budget-aware naive enumeration.
@@ -199,6 +165,50 @@ pub fn reliability_naive_anytime_on(
     }
     let (fallible, pinned) = check_bounds(net, demand, opts)?;
     let mut oracle = DemandOracle::new(net, demand.source, demand.sink, demand.demand, opts.solver);
+    let weights: Vec<(f64, f64)> = fallible
+        .iter()
+        .map(|&i| {
+            let p = net.edges()[i].fail_prob;
+            (1.0 - p, p)
+        })
+        .collect();
+    let geom = SweepGeometry {
+        fallible: &fallible,
+        pinned,
+        edge_count: net.edge_count(),
+    };
+    sweep_settled(
+        &mut oracle,
+        demand,
+        1u64 << fallible.len(),
+        resume,
+        |oracle, partial| {
+            sweep_sum_budgeted::<f64, CompensatedAcc, _>(
+                oracle,
+                &geom,
+                &weights,
+                &SweepConfig::from_opts(opts),
+                sentinel,
+                partial,
+            )
+        },
+    )
+}
+
+/// The resume-and-settle frame shared by the binary and mixed-radix sweeps:
+/// answers the trivial demands without sweeping, checks a checkpoint against
+/// the `total` configurations of this instance, runs `sweep` from it, and
+/// turns the sweep's partial sum into an outcome with certified bounds.
+fn sweep_settled(
+    oracle: &mut DemandOracle,
+    demand: FlowDemand,
+    total: u64,
+    resume: Option<&NaiveCheckpoint>,
+    sweep: impl FnOnce(
+        &DemandOracle,
+        Option<PartialSum<CompensatedAcc>>,
+    ) -> (PartialSum<CompensatedAcc>, SweepStats),
+) -> Result<NaiveOutcome, ReliabilityError> {
     if demand.demand == 0 {
         return Ok(NaiveOutcome::Complete {
             reliability: 1.0,
@@ -211,7 +221,6 @@ pub fn reliability_naive_anytime_on(
             stats: SweepStats::default(),
         });
     }
-    let total = 1u64 << fallible.len();
     let resume_partial = match resume {
         Some(ck) => {
             if ck.cursor.total != total {
@@ -231,26 +240,7 @@ pub fn reliability_naive_anytime_on(
         }
         None => None,
     };
-    let weights: Vec<(f64, f64)> = fallible
-        .iter()
-        .map(|&i| {
-            let p = net.edges()[i].fail_prob;
-            (1.0 - p, p)
-        })
-        .collect();
-    let geom = SweepGeometry {
-        fallible: &fallible,
-        pinned,
-        edge_count: net.edge_count(),
-    };
-    let (partial, stats) = sweep_sum_budgeted::<f64, CompensatedAcc, _>(
-        &oracle,
-        &geom,
-        &weights,
-        &SweepConfig::from_opts(opts),
-        sentinel,
-        resume_partial,
-    );
+    let (partial, stats) = sweep(oracle, resume_partial);
     if partial.is_complete() {
         return Ok(NaiveOutcome::Complete {
             reliability: partial.feasible.finish(),
@@ -323,73 +313,23 @@ fn reliability_naive_mixed_on(
     resume: Option<&NaiveCheckpoint>,
 ) -> Result<NaiveOutcome, ReliabilityError> {
     let (x, geom, mut oracle) = mixed_setup(net, demand, opts)?;
-    if demand.demand == 0 {
-        return Ok(NaiveOutcome::Complete {
-            reliability: 1.0,
-            stats: SweepStats::default(),
-        });
-    }
-    if oracle.max_flow_all_alive() < demand.demand {
-        return Ok(NaiveOutcome::Complete {
-            reliability: 0.0,
-            stats: SweepStats::default(),
-        });
-    }
-    let total = geom.total();
-    let resume_partial = match resume {
-        Some(ck) => {
-            if ck.cursor.total != total {
-                return Err(ReliabilityError::CheckpointMismatch {
-                    reason: format!(
-                        "checkpoint enumerates {} configurations, this instance {}",
-                        ck.cursor.total, total
-                    ),
-                });
-            }
-            Some(PartialSum {
-                feasible: CompensatedAcc::from_state(ck.feasible),
-                explored: CompensatedAcc::from_state(ck.explored),
-                remaining: ck.cursor.remaining.clone(),
-                certs: ck.certs.clone(),
-            })
-        }
-        None => None,
-    };
     let weights = digit_weights(&x);
-    let (partial, stats) = sweep_sum_mixed_budgeted::<f64, CompensatedAcc, _>(
-        &oracle,
-        &geom,
-        &weights,
-        &SweepConfig::from_opts(opts),
-        sentinel,
-        resume_partial,
-    );
-    if partial.is_complete() {
-        return Ok(NaiveOutcome::Complete {
-            reliability: partial.feasible.finish(),
-            stats,
-        });
-    }
-    let feasible = partial.feasible.state();
-    let explored_state = partial.explored.state();
-    let explored = (explored_state.0 + explored_state.1).clamp(0.0, 1.0);
-    let r_low = (feasible.0 + feasible.1).clamp(0.0, 1.0);
-    let r_high = (r_low + (1.0 - explored).max(0.0)).min(1.0);
-    Ok(NaiveOutcome::Partial {
-        r_low,
-        r_high,
-        explored,
-        checkpoint: NaiveCheckpoint {
-            cursor: SweepCursor {
-                total,
-                remaining: partial.remaining,
-            },
-            feasible,
-            explored: explored_state,
-            certs: partial.certs,
+    sweep_settled(
+        &mut oracle,
+        demand,
+        geom.total(),
+        resume,
+        |oracle, partial| {
+            sweep_sum_mixed_budgeted::<f64, CompensatedAcc, _>(
+                oracle,
+                &geom,
+                &weights,
+                &SweepConfig::from_opts(opts),
+                sentinel,
+                partial,
+            )
         },
-        stats,
-    })
+    )
 }
 
 /// Naive reliability with exact rational arithmetic (the validation oracle

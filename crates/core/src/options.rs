@@ -39,11 +39,9 @@ pub struct CalcOptions {
     pub factor_perfect_links: bool,
     /// Cache monotonicity certificates (flow supports and saturated cuts)
     /// during configuration sweeps and consult them before the solver. Exact:
-    /// a cache hit returns the verdict the solver would.
+    /// a cache hit returns the verdict the solver would. Each cache keeps a
+    /// fixed number of certificates per kind.
     pub certificate_cache: bool,
-    /// Certificates retained per cache (per kind; sweeps keep one cache per
-    /// worker and, for side sweeps, per assignment).
-    pub certificate_cache_size: usize,
     /// Carry a warm feasible flow across Gray-code configuration steps,
     /// repairing it per flipped link instead of re-solving from scratch
     /// (see [`maxflow::incremental`]). Exact: verdicts — and therefore all
@@ -114,7 +112,6 @@ impl Default for CalcOptions {
             prune_infeasible_assignments: true,
             factor_perfect_links: true,
             certificate_cache: true,
-            certificate_cache_size: 32,
             incremental: true,
             parallel_threshold: 10_000,
             budget: Budget::unlimited(),
@@ -202,6 +199,5 @@ mod tests {
     fn certificate_cache_is_on_by_default() {
         let o = CalcOptions::default();
         assert!(o.certificate_cache);
-        assert!(o.certificate_cache_size > 0);
     }
 }

@@ -63,10 +63,12 @@ pub fn reliability_polynomial(
 ) -> Result<ReliabilityPolynomial, ReliabilityError> {
     demand.validate(net)?;
     let m = net.edge_count();
-    assert!(
-        m <= EdgeMask::MAX_EDGES,
-        "polynomial sweep supports at most 64 links"
-    );
+    if m > EdgeMask::MAX_EDGES {
+        return Err(ReliabilityError::EdgeMaskOverflow {
+            count: m,
+            max: EdgeMask::MAX_EDGES,
+        });
+    }
     if m > opts.max_enum_edges {
         return Err(ReliabilityError::TooManyEdges {
             count: m,
@@ -213,6 +215,25 @@ mod tests {
         .unwrap();
         assert_eq!(poly.counts, vec![1, 4, 6, 4, 1]);
         assert!((poly.evaluate(0.37) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn more_links_than_a_mask_holds_is_an_error_not_a_panic() {
+        let mut b = NetworkBuilder::new(GraphKind::Undirected);
+        let n = b.add_nodes(66);
+        for i in 0..65 {
+            b.add_edge(n[i], n[i + 1], 1, 0.01).unwrap();
+        }
+        let err = reliability_polynomial(
+            &b.build(),
+            FlowDemand::new(n[0], n[65], 1),
+            &CalcOptions::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            ReliabilityError::EdgeMaskOverflow { count: 65, .. }
+        ));
     }
 
     #[test]

@@ -13,17 +13,13 @@
 //!
 //! Each rule preserves the reliability exactly. On series-parallel networks
 //! the graph collapses to a single link — polynomial time where every general
-//! algorithm is exponential; on general networks the reduced remainder is
-//! handed to the factoring algorithm. Implemented for undirected networks
-//! (the classical setting; directed series/parallel rules need care with
-//! orientations and are not needed by the workloads).
+//! algorithm is exponential. The decomposition planner ([`crate::plan`])
+//! applies it to every unit-demand subproblem it plans, as its `SpReduce`
+//! node. Implemented for undirected networks (the classical setting; directed
+//! series/parallel rules need care with orientations and are not needed by
+//! the workloads).
 
 use netgraph::{GraphKind, Network, NetworkBuilder, NodeId};
-
-use crate::demand::FlowDemand;
-use crate::error::ReliabilityError;
-use crate::factoring::reliability_factoring;
-use crate::options::CalcOptions;
 
 /// Counts of applied reductions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -192,33 +188,12 @@ pub fn reduce_unit_demand(net: &Network, s: NodeId, t: NodeId) -> ReducedNetwork
     }
 }
 
-/// Unit-demand reliability via series-parallel reduction, finishing the
-/// (possibly already trivial) remainder with the factoring algorithm.
-pub fn reliability_sp_reduced(
-    net: &Network,
-    demand: FlowDemand,
-    opts: &CalcOptions,
-) -> Result<f64, ReliabilityError> {
-    demand.validate(net)?;
-    assert_eq!(
-        demand.demand, 1,
-        "series-parallel reduction applies to unit demand"
-    );
-    let reduced = reduce_unit_demand(net, demand.source, demand.sink);
-    if reduced.source == reduced.sink {
-        return Ok(1.0);
-    }
-    reliability_factoring(
-        &reduced.net,
-        FlowDemand::new(reduced.source, reduced.sink, 1),
-        opts,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demand::FlowDemand;
     use crate::naive::reliability_naive;
+    use crate::options::CalcOptions;
     use netgraph::NetworkBuilder;
     use proptest::prelude::*;
 
@@ -312,7 +287,9 @@ mod tests {
         let net = build(65, &edges);
         let d = FlowDemand::new(NodeId(0), NodeId(64), 1);
         assert!(reliability_naive(&net, d, &CalcOptions::default()).is_err());
-        let r = reliability_sp_reduced(&net, d, &CalcOptions::default()).unwrap();
+        let red = reduce_unit_demand(&net, d.source, d.sink);
+        assert_eq!(red.net.edge_count(), 1);
+        let r = 1.0 - red.net.edge(netgraph::EdgeId(0)).fail_prob;
         let expected: f64 = edges.iter().map(|&(_, _, p)| 1.0 - p).product();
         assert!((r - expected).abs() < 1e-12);
     }
@@ -339,7 +316,13 @@ mod tests {
             let net = build(n, &edges);
             let d = FlowDemand::new(NodeId(0), NodeId::from(n - 1), 1);
             let naive = reliability_naive(&net, d, &CalcOptions::default()).unwrap();
-            let sp = reliability_sp_reduced(&net, d, &CalcOptions::default()).unwrap();
+            let red = reduce_unit_demand(&net, d.source, d.sink);
+            let sp = reliability_naive(
+                &red.net,
+                FlowDemand::new(red.source, red.sink, 1),
+                &CalcOptions::default(),
+            )
+            .unwrap();
             prop_assert!((naive - sp).abs() < 1e-10, "naive {} vs sp {}", naive, sp);
         }
     }

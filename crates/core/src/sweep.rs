@@ -65,6 +65,11 @@ const PARALLEL_MIN_BITS: usize = 10;
 /// invalidations for the incremental oracle.
 const BATCH: u64 = 256;
 
+/// Certificates retained per cache (per kind; sweeps keep one cache per
+/// worker and, for side sweeps, per assignment) when the calculation options
+/// turn the cache on. Checkpoints carry up to `4 ×` this many.
+const CERTIFICATE_CACHE_SIZE: usize = 32;
+
 /// How the engine should run one sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepConfig {
@@ -105,7 +110,7 @@ impl SweepConfig {
         SweepConfig {
             parallel: opts.parallel,
             certificates: opts.certificate_cache,
-            cache_size: opts.certificate_cache_size,
+            cache_size: CERTIFICATE_CACHE_SIZE,
             incremental: opts.incremental,
             parallel_threshold: opts.parallel_threshold,
         }

@@ -2,8 +2,7 @@
 //! sandwich the exact reliability, and series-parallel reduction preserves it.
 
 use flowrel::core::{
-    esary_proschan_bounds, reduce_unit_demand, reliability_naive, reliability_sp_reduced,
-    CalcOptions, FlowDemand,
+    esary_proschan_bounds, reduce_unit_demand, reliability_naive, CalcOptions, FlowDemand,
 };
 use flowrel::netgraph::{GraphKind, Network, NetworkBuilder, NodeId};
 use proptest::prelude::*;
@@ -44,7 +43,13 @@ proptest! {
         let net = build(n, &raw, GraphKind::Undirected);
         let d = FlowDemand::new(NodeId(0), NodeId::from(n - 1), 1);
         let exact = reliability_naive(&net, d, &CalcOptions::default()).unwrap();
-        let sp = reliability_sp_reduced(&net, d, &CalcOptions::default()).unwrap();
+        let red = reduce_unit_demand(&net, d.source, d.sink);
+        let sp = reliability_naive(
+            &red.net,
+            FlowDemand::new(red.source, red.sink, 1),
+            &CalcOptions::default(),
+        )
+        .unwrap();
         prop_assert!((exact - sp).abs() < 1e-10, "exact {} vs sp {}", exact, sp);
     }
 

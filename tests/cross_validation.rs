@@ -4,8 +4,8 @@
 
 use flowrel::core::algorithm::reliability_bottleneck;
 use flowrel::core::{
-    find_bottleneck_set, reliability_bottleneck_exact, reliability_bridge, reliability_factoring,
-    reliability_naive, reliability_naive_exact, AssignmentModel, CalcOptions, FlowDemand,
+    find_bottleneck_set, reliability_bottleneck_exact, reliability_factoring, reliability_naive,
+    reliability_naive_exact, AssignmentModel, CalcOptions, FlowDemand, ReliabilityCalculator,
     ReliabilityError,
 };
 use flowrel::netgraph::{GraphKind, Network, NetworkBuilder};
@@ -41,10 +41,20 @@ proptest! {
         let opts = CalcOptions::default();
         let naive = reliability_naive(&net, d, &opts).unwrap();
         let factoring = reliability_factoring(&net, d, &opts).unwrap();
-        let bridge = reliability_bridge(&net, d, &opts).unwrap();
         prop_assert!((naive - factoring).abs() < 1e-10, "naive {} vs factoring {}", naive, factoring);
-        prop_assert!((naive - bridge).abs() < 1e-10, "naive {} vs bridge {}", naive, bridge);
         prop_assert!((0.0..=1.0 + 1e-12).contains(&naive));
+        // Eq. 1: whenever a bridge separates s from t, the k = 1 plan splits
+        // there and must agree with the sweep. Reduction is off so the plan
+        // sees the bridge found here (reduction contracts perfect links).
+        if find_bottleneck_set(&net, d.source, d.sink, 1).is_ok() {
+            let bridge = ReliabilityCalculator::new()
+                .with_strategy(flowrel::core::Strategy::BottleneckAuto { max_k: 1 })
+                .with_options(CalcOptions { reduce: false, ..CalcOptions::default() })
+                .run_complete(&net, d)
+                .unwrap()
+                .reliability;
+            prop_assert!((naive - bridge).abs() < 1e-10, "naive {} vs bridge {}", naive, bridge);
+        }
     }
 
     #[test]

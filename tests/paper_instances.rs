@@ -2,9 +2,9 @@
 //! (experiment ids FIG2, FIG3/EX1, FIG4/EX3, FIG5 in DESIGN.md).
 
 use flowrel::core::{
-    decompose, enumerate_assignments, reliability_bottleneck, reliability_bridge,
-    reliability_factoring, reliability_naive, reliability_naive_exact, validate_bottleneck_set,
-    CalcOptions, FlowDemand, RealizationTable, SideOracle,
+    decompose, enumerate_assignments, reliability_bottleneck, reliability_factoring,
+    reliability_naive, reliability_naive_exact, validate_bottleneck_set, CalcOptions, FlowDemand,
+    RealizationTable, ReliabilityCalculator, SideOracle, Strategy,
 };
 use flowrel::netgraph::EdgeMask;
 use flowrel::workloads::paper;
@@ -17,7 +17,11 @@ fn fig2_all_algorithms_agree() {
     let d = FlowDemand::new(inst.source, inst.sink, inst.demand);
     let opts = CalcOptions::default();
     let naive = reliability_naive(&inst.net, d, &opts).unwrap();
-    let bridge_r = reliability_bridge(&inst.net, d, &opts).unwrap();
+    let bridge_r = ReliabilityCalculator::new()
+        .with_strategy(Strategy::BottleneckAuto { max_k: 1 })
+        .run_complete(&inst.net, d)
+        .unwrap()
+        .reliability;
     let factoring = reliability_factoring(&inst.net, d, &opts).unwrap();
     let bottleneck = reliability_bottleneck(&inst.net, d, &[bridge], &opts).unwrap();
     assert!((naive - bridge_r).abs() < 1e-12);
