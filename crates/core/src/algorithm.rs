@@ -17,14 +17,13 @@ use netgraph::{EdgeId, Network};
 use crate::accumulate::combine;
 use crate::assign::{crossing_ranges, enumerate_assignments, supported_assignment_masks};
 use crate::bottleneck::{validate_bottleneck_set, BottleneckSet};
-use crate::certcache::SweepStats;
 use crate::decompose::{decompose, Side};
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::CalcOptions;
 use crate::oracle::SideOracle;
 use crate::spectrum::RealizationSpectrum;
-use crate::sweep::SweepConfig;
+use crate::sweep::{SweepConfig, SweepStats};
 use crate::weight::{edge_weights, edge_weights_exact, EdgeWeights, Weight};
 
 /// What the bottleneck algorithm did, for reporting and experiments.

@@ -14,10 +14,10 @@
 //! form guarantees by writing IEEE-754 bit patterns in hex. The crate stays
 //! I/O-free — reading and writing files is the caller's (CLI's) job.
 
+use maxflow::SolveCert;
 use netgraph::{EdgeId, GraphKind, Network};
 
 use crate::assign::AssignmentModel;
-use crate::certcache::SolveCert;
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::CalcOptions;

@@ -43,7 +43,6 @@ pub mod bottleneck;
 pub mod bounds;
 pub mod budget;
 pub mod calculator;
-pub mod certcache;
 pub mod checkpoint;
 pub mod decompose;
 pub mod demand;
@@ -76,7 +75,6 @@ pub use bottleneck::{
 pub use bounds::{enumerate_minimal_cuts, enumerate_simple_paths, esary_proschan_bounds};
 pub use budget::{Budget, BudgetSentinel, CancelToken};
 pub use calculator::{Outcome, PartialReport, ReliabilityCalculator, ReliabilityReport, Strategy};
-pub use certcache::{CertCache, SolveCert, SweepStats};
 pub use checkpoint::{
     instance_fingerprint, Checkpoint, CheckpointKind, FactoringCheckpoint, NaiveCheckpoint,
     PlanCheckpoint, PlanLeafState, SideCheckpoint, SweepCursor,
@@ -87,6 +85,7 @@ pub use error::ReliabilityError;
 pub use factoring::{reliability_factoring, reliability_factoring_anytime, FactoringOutcome};
 pub use fnet::NetFile;
 pub use importance::{birnbaum_importance, LinkImportance};
+pub use maxflow::{CertCache, SolveCert};
 pub use montecarlo::{
     EstimatorKind, McBudget, McCheckpoint, McError, McOutcome, McReport, McSettings, StopTarget,
 };
@@ -109,6 +108,7 @@ pub use spreduce::{reduce_unit_demand, ReducedNetwork, ReductionStats};
 pub use sweep::{
     sweep_spectrum, sweep_spectrum_budgeted, sweep_sum, sweep_sum_budgeted, sweep_table,
     sweep_table_budgeted, PartialSpectrum, PartialSum, PartialTable, SweepConfig, SweepOracle,
+    SweepStats,
 };
 pub use table::RealizationTable;
 pub use weight::{edge_weights, edge_weights_exact, Weight};

@@ -15,7 +15,6 @@ use exactmath::BigRational;
 use netgraph::{EdgeMask, GraphError, Network, StateExpansion};
 
 use crate::budget::BudgetSentinel;
-use crate::certcache::SweepStats;
 use crate::checkpoint::{NaiveCheckpoint, SweepCursor};
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
@@ -24,7 +23,7 @@ use crate::oracle::DemandOracle;
 use crate::preprocess::relevance_reduce;
 use crate::sweep::{
     sweep_sum, sweep_sum_budgeted, sweep_sum_mixed, sweep_sum_mixed_budgeted, CompensatedAcc,
-    MixedGeometry, PartialSum, PlainAcc, SweepAccumulator, SweepConfig, SweepGeometry,
+    MixedGeometry, PartialSum, PlainAcc, SweepAccumulator, SweepConfig, SweepGeometry, SweepStats,
 };
 use crate::weight::{digit_weights, digit_weights_exact, edge_weights_exact, EdgeWeights, Weight};
 

@@ -40,7 +40,8 @@ pub struct CalcOptions {
     /// Cache monotonicity certificates (flow supports and saturated cuts)
     /// during configuration sweeps and consult them before the solver. Exact:
     /// a cache hit returns the verdict the solver would. Each cache keeps a
-    /// fixed number of certificates per kind.
+    /// fixed number of certificates per kind. An ablation of the exact sweeps
+    /// only: the Monte-Carlo samplers always consult their per-batch cache.
     pub certificate_cache: bool,
     /// Carry a warm feasible flow across Gray-code configuration steps,
     /// repairing it per flipped link instead of re-solving from scratch

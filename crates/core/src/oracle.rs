@@ -1,35 +1,12 @@
 //! Flow-feasibility oracles over failure configurations.
 
 use maxflow::incremental::{RepairStats, WarmState};
-use maxflow::{build_flow, build_flow_multi, NetworkFlow, SolverKind};
+use maxflow::{build_flow, build_flow_multi, NetworkFlow, SolveCert, SolverKind};
 use netgraph::{EdgeMask, Network, NodeId};
 
 use crate::assign::Assignment;
-use crate::certcache::SolveCert;
 use crate::decompose::Side;
 use crate::error::ReliabilityError;
-
-/// Reads the monotonicity certificate a just-computed verdict carries off
-/// the residual graph (shared by the cold and warm solve paths).
-fn extract_cert(nf: &NetworkFlow, ok: bool, required: u64) -> SolveCert {
-    if ok {
-        SolveCert::Feasible {
-            support: nf.flow_support_bits(),
-        }
-    } else {
-        // an infeasible verdict means the solver exhausted augmentation, so
-        // the residual graph witnesses a saturated cut; `fixed` capacity
-        // (super-terminal arcs) never fails, so the cut refutes exactly the
-        // configurations whose alive crossing capacity stays below the rest
-        match nf.residual_cut_bits() {
-            Some((crossing, fixed)) if fixed < required => SolveCert::Infeasible {
-                crossing,
-                needed: required - fixed,
-            },
-            _ => SolveCert::None,
-        }
-    }
-}
 
 /// Runs one feasibility solve and, when asked, extracts the monotonicity
 /// certificate the verdict carries (shared by both oracles).
@@ -45,7 +22,7 @@ fn solve_with_cert(
     if !want_cert {
         return (ok, SolveCert::None);
     }
-    (ok, extract_cert(nf, ok, required))
+    (ok, nf.certificate(ok, required))
 }
 
 /// As [`solve_with_cert`], but warm-starting from `warm`'s maintained flow
@@ -62,7 +39,7 @@ fn warm_solve_with_cert(
     if !want_cert {
         return (ok, SolveCert::None);
     }
-    (ok, extract_cert(nf, ok, required))
+    (ok, nf.certificate(ok, required))
 }
 
 /// Answers "does this failure configuration admit the s–t demand?" for one
@@ -150,7 +127,7 @@ impl DemandOracle {
     }
 
     /// As [`admits`](Self::admits), additionally extracting the monotonicity
-    /// certificate the verdict carries (see [`crate::certcache`]) when
+    /// certificate the verdict carries (see [`maxflow::certcache`]) when
     /// `want_cert` is set.
     pub fn admits_with_cert(&mut self, mask: EdgeMask, want_cert: bool) -> (bool, SolveCert) {
         if self.demand == 0 {

@@ -93,7 +93,6 @@ use crate::assign::{
 };
 use crate::bottleneck::{find_all_bottleneck_sets, find_bottleneck_set, BottleneckSet};
 use crate::budget::BudgetSentinel;
-use crate::certcache::SweepStats;
 use crate::checkpoint::{Fnv1a, PlanCheckpoint, PlanLeafState, SideCheckpoint, SweepCursor};
 use crate::decompose::{decompose, Side};
 use crate::demand::FlowDemand;
@@ -104,7 +103,7 @@ use crate::oracle::{DemandOracle, SideOracle};
 use crate::preprocess::relevance_reduce;
 use crate::reduce::{reduce, ReduceStats};
 use crate::spreduce::{reduce_unit_demand, ReductionStats};
-use crate::sweep::{sweep_spectrum_budgeted, PartialSpectrum, SweepConfig};
+use crate::sweep::{sweep_spectrum_budgeted, PartialSpectrum, SweepConfig, SweepStats};
 use crate::weight::edge_weights;
 use montecarlo::{McCheckpoint, McOutcome, McReport, McSettings};
 

@@ -15,10 +15,9 @@
 //! The builder is generic over [`Weight`], so the same sweep produces either
 //! compensated-`f64` or exact-rational masses.
 
-use crate::certcache::SweepStats;
 use crate::error::ReliabilityError;
 use crate::oracle::SideOracle;
-use crate::sweep::{sweep_spectrum, SweepConfig};
+use crate::sweep::{sweep_spectrum, SweepConfig, SweepStats};
 use crate::weight::{EdgeWeights, Weight};
 
 /// Probability mass of each realization mask for one side.

@@ -7,7 +7,7 @@
 //! configuration. This module centralizes that walk and layers three exact
 //! optimizations on top of it:
 //!
-//! 1. **Certificate caching** ([`crate::certcache`]): each solver verdict is
+//! 1. **Certificate caching** ([`maxflow::certcache`]): each solver verdict is
 //!    generalized into a monotonicity certificate (flow support / saturated
 //!    cut), and subsequent configurations are first tested against a bounded
 //!    cache of certificates — a few word operations instead of a max-flow.
@@ -41,12 +41,11 @@
 //! sentinel, so there is exactly one enumeration code path.
 
 use exactmath::NeumaierSum;
-use maxflow::RepairStats;
+use maxflow::{CertCache, RepairStats, SolveCert, CERTIFICATE_CACHE_SIZE};
 use netgraph::{EdgeMask, StateExpansion};
 use rayon::prelude::*;
 
 use crate::budget::BudgetSentinel;
-use crate::certcache::{CertCache, SolveCert, SweepStats};
 use crate::options::CalcOptions;
 use crate::oracle::{DemandOracle, SideOracle};
 use crate::weight::Weight;
@@ -65,10 +64,62 @@ const PARALLEL_MIN_BITS: usize = 10;
 /// invalidations for the incremental oracle.
 const BATCH: u64 = 256;
 
-/// Certificates retained per cache (per kind; sweeps keep one cache per
-/// worker and, for side sweeps, per assignment) when the calculation options
-/// turn the cache on. Checkpoints carry up to `4 ×` this many.
-const CERTIFICATE_CACHE_SIZE: usize = 32;
+/// Counters describing one configuration sweep; merged across workers and
+/// across the two sides of a bottleneck decomposition.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SweepStats {
+    /// Configurations tested (for side sweeps: configuration × assignment
+    /// pairs — the solver-call space).
+    pub configs: u64,
+    /// Max-flow solver invocations actually performed.
+    pub solver_calls: u64,
+    /// Configurations classified feasible by a cached certificate.
+    pub feasible_hits: u64,
+    /// Configurations classified infeasible by a cached certificate.
+    pub infeasible_hits: u64,
+    /// Link flips applied to a warm flow by the incremental oracle.
+    pub flips: u64,
+    /// Warm verdicts answered by repairing the carried flow in place.
+    pub repairs: u64,
+    /// Warm verdicts that fell back to a from-scratch re-solve (cold starts,
+    /// range boundaries, wide flip jumps, repair failures).
+    pub full_resolves: u64,
+}
+
+impl SweepStats {
+    /// Solver calls avoided via certificates.
+    pub fn solver_calls_avoided(&self) -> u64 {
+        self.feasible_hits + self.infeasible_hits
+    }
+
+    /// Fraction of tested configurations answered from the cache.
+    pub fn hit_rate(&self) -> f64 {
+        if self.configs == 0 {
+            0.0
+        } else {
+            self.solver_calls_avoided() as f64 / self.configs as f64
+        }
+    }
+
+    /// Accumulates another worker's counters.
+    pub fn merge(&mut self, other: &SweepStats) {
+        self.configs += other.configs;
+        self.solver_calls += other.solver_calls;
+        self.feasible_hits += other.feasible_hits;
+        self.infeasible_hits += other.infeasible_hits;
+        self.flips += other.flips;
+        self.repairs += other.repairs;
+        self.full_resolves += other.full_resolves;
+    }
+
+    /// Folds in the incremental-repair counters taken from an oracle (see
+    /// [`maxflow::incremental::RepairStats`]).
+    pub fn absorb_repairs(&mut self, r: &RepairStats) {
+        self.flips += r.flips;
+        self.repairs += r.repairs;
+        self.full_resolves += r.full_resolves;
+    }
+}
 
 /// How the engine should run one sweep.
 #[derive(Clone, Copy, Debug)]
@@ -1521,6 +1572,27 @@ mod tests {
             p = p.mul(if g >> i & 1 == 1 { &w.0 } else { &w.1 });
         }
         p
+    }
+
+    #[test]
+    fn stats_merge_and_rates() {
+        let mut a = SweepStats {
+            configs: 8,
+            solver_calls: 2,
+            feasible_hits: 4,
+            infeasible_hits: 2,
+            ..Default::default()
+        };
+        let b = SweepStats {
+            configs: 8,
+            solver_calls: 8,
+            ..Default::default()
+        };
+        a.merge(&b);
+        assert_eq!(a.configs, 16);
+        assert_eq!(a.solver_calls_avoided(), 6);
+        assert!((a.hit_rate() - 6.0 / 16.0).abs() < 1e-15);
+        assert_eq!(SweepStats::default().hit_rate(), 0.0);
     }
 
     #[test]

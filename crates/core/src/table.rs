@@ -11,10 +11,9 @@
 //! of `O(2^{|E_c|})`); the table remains for illustration (regenerating
 //! Table I and Fig. 5) and for the memory-ablation bench.
 
-use crate::certcache::SweepStats;
 use crate::error::ReliabilityError;
 use crate::oracle::SideOracle;
-use crate::sweep::{sweep_table, SweepConfig};
+use crate::sweep::{sweep_table, SweepConfig, SweepStats};
 
 /// The realization array of one side: `masks[c]` has bit `j` set iff side
 /// configuration `c` realizes assignment `j`.

@@ -22,13 +22,17 @@
 //! * monotonicity witnesses — after a solve, [`NetworkFlow::flow_support_bits`]
 //!   (feasible: the edges carrying flow) and
 //!   [`NetworkFlow::residual_cut_bits`] (infeasible: the edges crossing the
-//!   saturated cut) turn one solver call into a certificate that classifies
-//!   whole families of related failure configurations without solving again.
+//!   saturated cut) turn one solver call into a certificate
+//!   ([`NetworkFlow::certificate`]) that classifies whole families of related
+//!   failure configurations without solving again;
+//! * [`CertCache`] — the bounded certificate store the exact sweeps and the
+//!   Monte-Carlo samplers consult before every solve.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod capacity_scaling;
+pub mod certcache;
 pub mod dinic;
 pub mod edmonds_karp;
 pub mod ford_fulkerson;
@@ -42,6 +46,7 @@ pub mod solver;
 pub mod workspace;
 
 pub use capacity_scaling::CapacityScaling;
+pub use certcache::{CertCache, SolveCert, CERTIFICATE_CACHE_SIZE};
 pub use dinic::Dinic;
 pub use edmonds_karp::EdmondsKarp;
 pub use ford_fulkerson::BfsFordFulkerson;

@@ -2,6 +2,7 @@
 
 use netgraph::{EdgeMask, GraphKind, Network, NodeId};
 
+use crate::certcache::SolveCert;
 use crate::graph::{ArcId, FlowGraph};
 
 /// A [`FlowGraph`] built from a [`Network`], remembering which arc realizes
@@ -143,6 +144,34 @@ impl NetworkFlow {
             }
         }
         Some((bits, fixed))
+    }
+
+    /// The monotonicity certificate a just-finished feasibility solve carries:
+    /// the flow support when `feasible`, otherwise the saturated cut with the
+    /// alive crossing capacity it still needs to carry `required`. Read it
+    /// before the next [`apply_mask`](Self::apply_mask). Returns
+    /// [`SolveCert::None`] when the cut's unfailable capacity alone reaches
+    /// `required` or the solve stopped before exhausting augmentation.
+    ///
+    /// # Panics
+    /// Panics if the network has more than 64 edges.
+    pub fn certificate(&self, feasible: bool, required: u64) -> SolveCert {
+        if feasible {
+            return SolveCert::Feasible {
+                support: self.flow_support_bits(),
+            };
+        }
+        // an infeasible verdict means the solver exhausted augmentation, so
+        // the residual graph witnesses a saturated cut; `fixed` capacity
+        // (super-terminal arcs) never fails, so the cut refutes exactly the
+        // configurations whose alive crossing capacity stays below the rest
+        match self.residual_cut_bits() {
+            Some((crossing, fixed)) if fixed < required => SolveCert::Infeasible {
+                crossing,
+                needed: required - fixed,
+            },
+            _ => SolveCert::None,
+        }
     }
 }
 

@@ -16,6 +16,13 @@
 //!   speculative — batches past the stop point are discarded unmerged);
 //! * permutation sums are folded with Neumaier compensation in batch order.
 //!
+//! Crude and dagger samples ask a per-batch certificate cache
+//! ([`maxflow::certcache`]) before they run the max-flow solver. A cached
+//! certificate returns the solver's own verdict, so estimates, intervals and
+//! checkpoints are the same with or without it; `flow_evals` counts the
+//! solves actually made, and since each batch starts with an empty cache
+//! that count does not depend on scheduling either.
+//!
 //! Exact classification shortcuts resolve trivial regimes without sampling:
 //! a dagger plan whose every stratum is monotonically decided returns the
 //! exact reliability outright, and the permutation plan recognizes `R = 1` /
@@ -31,7 +38,7 @@
 //! networks take exactly the legacy code paths, so existing results and
 //! checkpoints are bit-identical.
 
-use maxflow::{build_flow, SolverKind, Workspace};
+use maxflow::{build_flow, CertCache, NetworkFlow, SolverKind, Workspace, CERTIFICATE_CACHE_SIZE};
 use netgraph::{EdgeId, EdgeMask, Network, NodeId, StateExpansion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -152,7 +159,9 @@ pub struct McReport {
     pub ci_high: f64,
     /// Samples drawn (0 when the answer was classified exactly).
     pub samples: u64,
-    /// Max-flow evaluations spent, classification included.
+    /// Max-flow solver calls made, classification included. A crude or
+    /// dagger sample that a cached certificate decides costs none, so this
+    /// can be far below `samples`.
     pub flow_evals: u64,
     /// Name of the estimator that produced the report.
     pub estimator: &'static str,
@@ -218,7 +227,8 @@ pub struct McCheckpoint {
     pub next_batch: u64,
     /// Samples merged so far.
     pub samples: u64,
-    /// Flow evaluations spent so far (classification included).
+    /// Max-flow solver calls made so far (classification included); a
+    /// sample a cached certificate decides costs none.
     pub flow_evals: u64,
     /// Estimator statistics.
     pub accum: McAccum,
@@ -278,7 +288,6 @@ fn validate(settings: &McSettings) -> Result<(), McError> {
 /// variants bit-for-bit, so legacy results and checkpoints are unchanged.
 enum Ctx {
     Crude {
-        m: usize,
         probs: Vec<f64>,
     },
     /// Crude over a multi-state network: one categorical state draw per
@@ -334,9 +343,9 @@ impl Ctx {
                         .collect();
                     return Ok((Ctx::CrudeMulti { x, cdfs }, 0));
                 }
-                let m = crate::check_edges(net)?;
+                crate::check_edges(net)?;
                 let probs = net.edges().iter().map(|e| e.fail_prob).collect();
-                Ok((Ctx::Crude { m, probs }, 0))
+                Ok((Ctx::Crude { probs }, 0))
             }
             EstimatorKind::Dagger => {
                 if net.has_multistate() {
@@ -433,19 +442,10 @@ impl Ctx {
         quota: u64,
     ) -> BatchOut {
         let mut rng = StdRng::seed_from_u64(stream_seed(settings.seed, STREAM_ENGINE | b));
-        // multi-state variants sample over the tranche expansion, whose arcs
-        // the masks and revivals below index; the node ids are shared
-        let flow_net = match self {
-            Ctx::CrudeMulti { x, .. } => &x.net,
-            Ctx::PermMulti { plan } => &plan.x.net,
-            _ => net,
-        };
-        let mut nf = build_flow(flow_net, s, t);
-        let mut ws = Workspace::new();
         let solver = settings.solver;
-        let mut evals = 0u64;
         match self {
-            Ctx::Crude { m, probs } => {
+            Ctx::Crude { probs } => {
+                let mut oracle = SampleOracle::new(net, s, t, demand, solver);
                 let mut successes = 0u64;
                 for _ in 0..quota {
                     let mut bits = 0u64;
@@ -454,21 +454,18 @@ impl Ctx {
                             bits |= 1 << i;
                         }
                     }
-                    nf.apply_mask(EdgeMask::from_bits(bits, *m));
-                    evals += 1;
-                    if solver.solve_ws(&mut nf.graph, nf.source, nf.sink, demand, &mut ws) >= demand
-                    {
-                        successes += 1;
-                    }
+                    successes += u64::from(oracle.admits(bits));
                 }
                 BatchOut::Counts {
                     successes,
                     samples: quota,
-                    evals,
+                    evals: oracle.evals,
                 }
             }
             Ctx::CrudeMulti { x, cdfs } => {
-                let m = x.net.edge_count();
+                // sampled over the tranche expansion, whose arcs the bits
+                // index; the node ids are shared
+                let mut oracle = SampleOracle::new(&x.net, s, t, demand, solver);
                 let mut successes = 0u64;
                 for _ in 0..quota {
                     let mut bits = x.pinned;
@@ -482,37 +479,36 @@ impl Ctx {
                         }
                         bits |= d.value_bits(v);
                     }
-                    nf.apply_mask(EdgeMask::from_bits(bits, m));
-                    evals += 1;
-                    if solver.solve_ws(&mut nf.graph, nf.source, nf.sink, demand, &mut ws) >= demand
-                    {
-                        successes += 1;
-                    }
+                    successes += u64::from(oracle.admits(bits));
                 }
                 BatchOut::Counts {
                     successes,
                     samples: quota,
-                    evals,
+                    evals: oracle.evals,
                 }
             }
             Ctx::Dagger { plan } => {
+                // one cache for every stratum of the batch: the strata differ
+                // only in their fixed links, and certificates hold across them
+                let mut oracle = SampleOracle::new(net, s, t, demand, solver);
                 let alloc = plan.alloc(quota);
                 let mut counts = Vec::with_capacity(alloc.len());
                 let mut samples = 0u64;
                 for (j, &n_j) in alloc.iter().enumerate() {
-                    let succ = plan.sample_stratum(
-                        j, n_j, demand, solver, &mut nf, &mut ws, &mut rng, &mut evals,
-                    );
+                    let succ = plan.sample_stratum(j, n_j, &mut oracle, &mut rng);
                     counts.push((succ, n_j));
                     samples += n_j;
                 }
                 BatchOut::Strata {
                     counts,
                     samples,
-                    evals,
+                    evals: oracle.evals,
                 }
             }
             Ctx::Perm { plan } => {
+                let mut nf = build_flow(net, s, t);
+                let mut ws = Workspace::new();
+                let mut evals = 0u64;
                 let mut sum = 0.0f64;
                 let mut sum_sq = 0.0f64;
                 for _ in 0..quota {
@@ -528,6 +524,9 @@ impl Ctx {
                 }
             }
             Ctx::PermMulti { plan } => {
+                let mut nf = build_flow(&plan.x.net, s, t);
+                let mut ws = Workspace::new();
+                let mut evals = 0u64;
                 let mut sum = 0.0f64;
                 let mut sum_sq = 0.0f64;
                 for _ in 0..quota {
@@ -543,6 +542,57 @@ impl Ctx {
                 }
             }
         }
+    }
+}
+
+/// The feasibility test behind every crude and dagger sample of one batch.
+///
+/// A certificate in the batch's [`CertCache`] answers when it can; a miss
+/// runs the max-flow solver and records the certificate the solve carries.
+/// Certificates are exact, so every verdict is the solver's and every
+/// estimate is unchanged; only `evals`, the solver calls actually made,
+/// depends on the cache. Each batch starts with an empty cache, so `evals`
+/// depends on the batch's own samples alone, never on how batches are
+/// scheduled or where a run was interrupted.
+pub(crate) struct SampleOracle {
+    nf: NetworkFlow,
+    ws: Workspace,
+    cache: CertCache,
+    caps: Vec<u64>,
+    solver: SolverKind,
+    demand: u64,
+    /// Solver calls made so far.
+    evals: u64,
+}
+
+impl SampleOracle {
+    /// Lowers `net` for the `s → t` demand with an empty cache.
+    fn new(net: &Network, s: NodeId, t: NodeId, demand: u64, solver: SolverKind) -> Self {
+        SampleOracle {
+            nf: build_flow(net, s, t),
+            ws: Workspace::new(),
+            cache: CertCache::new(CERTIFICATE_CACHE_SIZE),
+            caps: net.edges().iter().map(|e| e.capacity).collect(),
+            solver,
+            demand,
+            evals: 0,
+        }
+    }
+
+    /// Does the configuration whose alive links are `bits` carry the demand?
+    pub(crate) fn admits(&mut self, bits: u64) -> bool {
+        if let Some(verdict) = self.cache.classify(bits, &self.caps) {
+            return verdict;
+        }
+        self.evals += 1;
+        let (nf, demand) = (&mut self.nf, self.demand);
+        nf.apply_mask(EdgeMask::from_bits(bits, self.caps.len()));
+        let flow = self
+            .solver
+            .solve_ws(&mut nf.graph, nf.source, nf.sink, demand, &mut self.ws);
+        let ok = flow >= demand;
+        self.cache.record(nf.certificate(ok, demand));
+        ok
     }
 }
 
@@ -856,6 +906,54 @@ pub fn run(
     Ok(drive.run(&budget.start(), parallel))
 }
 
+/// Refuses a checkpoint whose counts no run could have written: more
+/// successes than samples (overall or in a stratum), strata samples that do
+/// not add up, a permutation sum outside `[0, samples]`, or samples without
+/// a drawn batch. Resuming such counts would report a "reliability" outside
+/// `[0, 1]` or draw batches twice.
+fn check_counts(checkpoint: &McCheckpoint) -> Result<(), McError> {
+    let samples = checkpoint.samples;
+    let bad = |reason: String| Err(McError::CheckpointMismatch { reason });
+    if checkpoint.next_batch == 0 && samples != 0 {
+        return bad(format!(
+            "{samples} samples before the first batch was drawn"
+        ));
+    }
+    match &checkpoint.accum {
+        McAccum::Counts { successes } => {
+            if *successes > samples {
+                return bad(format!("{successes} successes out of {samples} samples"));
+            }
+        }
+        McAccum::Strata { counts } => {
+            let mut total = 0u64;
+            for (j, &(succ, n)) in counts.iter().enumerate() {
+                if succ > n {
+                    return bad(format!("stratum {j}: {succ} successes out of {n} samples"));
+                }
+                total = total.saturating_add(n);
+            }
+            if total != samples {
+                return bad(format!(
+                    "strata samples add up to {total}, not the {samples} recorded"
+                ));
+            }
+        }
+        McAccum::Perm { sum, sum_sq } => {
+            for (what, acc) in [("sum", *sum), ("sum of squares", *sum_sq)] {
+                let v = neumaier_value(acc);
+                // NaN and infinities fall outside the range too
+                if !(0.0..=samples as f64).contains(&v) {
+                    return bad(format!(
+                        "permutation {what} {v} lies outside [0, {samples}]"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Resumes an interrupted run from its checkpoint, bit-identically: the
 /// final report equals what the uninterrupted run would have produced
 /// (plan classification is re-derived from the instance and not re-billed
@@ -883,6 +981,7 @@ pub fn resume(
             reason: "accumulator shape does not match the instance's sampling plan".into(),
         });
     }
+    check_counts(checkpoint)?;
     let max_per_batch = settings
         .batch
         .max(crate::stratified::MAX_STRATA_LINKS as u64 * 2);
@@ -1159,43 +1258,59 @@ mod tests {
 
     #[test]
     fn budget_interrupt_and_resume_is_bit_identical() {
-        let net = two_parallel(0.1);
-        let s = settings(EstimatorKind::Crude, 30_000);
-        let full = run(
-            &net,
-            NodeId(0),
-            NodeId(1),
-            2,
-            &s,
-            &McBudget::unlimited(),
-            false,
-        )
-        .unwrap();
+        let mut dagger = settings(EstimatorKind::Dagger, 30_000);
+        dagger.strata = vec![EdgeId(2)];
+        let cases = [
+            (
+                two_parallel(0.1),
+                NodeId(1),
+                2,
+                settings(EstimatorKind::Crude, 30_000),
+            ),
+            (bridge(), NodeId(3), 1, dagger),
+        ];
+        for (net, t, demand, s) in cases {
+            let full = run(
+                &net,
+                NodeId(0),
+                t,
+                demand,
+                &s,
+                &McBudget::unlimited(),
+                false,
+            )
+            .unwrap();
 
-        // interrupt after ~10k samples via the per-run sample allowance
-        let small = McBudget {
-            max_samples: Some(10_000),
-            ..Default::default()
-        };
-        let out = run(&net, NodeId(0), NodeId(1), 2, &s, &small, false).unwrap();
-        let McOutcome::Interrupted { report, checkpoint } = out else {
-            panic!("10k allowance must interrupt a 30k run")
-        };
-        assert!(report.samples >= 10_000 && report.samples < 30_000);
-        assert!(report.ci_high > report.ci_low, "partial interval is honest");
+            // interrupt after ~10k samples via the per-run sample allowance
+            let small = McBudget {
+                max_samples: Some(10_000),
+                ..Default::default()
+            };
+            let out = run(&net, NodeId(0), t, demand, &s, &small, false).unwrap();
+            let McOutcome::Interrupted { report, checkpoint } = out else {
+                panic!("10k allowance must interrupt a 30k run")
+            };
+            assert!(report.samples >= 10_000 && report.samples < 30_000);
+            assert!(report.ci_high > report.ci_low, "partial interval is honest");
 
-        // resume with no budget: must equal the uninterrupted run exactly
-        let resumed = resume(
-            &net,
-            NodeId(0),
-            NodeId(1),
-            2,
-            &checkpoint,
-            &McBudget::unlimited(),
-            false,
-        )
-        .unwrap();
-        assert_eq!(resumed, full, "interrupt+resume must be bit-identical");
+            // resume with no budget: must equal the uninterrupted run exactly,
+            // flow evaluations included
+            let resumed = resume(
+                &net,
+                NodeId(0),
+                t,
+                demand,
+                &checkpoint,
+                &McBudget::unlimited(),
+                false,
+            )
+            .unwrap();
+            assert_eq!(
+                resumed, full,
+                "{:?}: interrupt+resume must be bit-identical",
+                s.estimator
+            );
+        }
     }
 
     #[test]
@@ -1225,6 +1340,117 @@ mod tests {
             false,
         );
         assert!(matches!(err, Err(McError::CheckpointMismatch { .. })));
+    }
+
+    /// Runs `s` under a 5k-sample allowance and returns its checkpoint.
+    fn interrupted(net: &Network, t: NodeId, demand: u64, s: &McSettings) -> McCheckpoint {
+        let small = McBudget {
+            max_samples: Some(5_000),
+            ..Default::default()
+        };
+        match run(net, NodeId(0), t, demand, s, &small, false).unwrap() {
+            McOutcome::Interrupted { checkpoint, .. } => checkpoint,
+            McOutcome::Done(r) => panic!("a 5k allowance must interrupt: {r:?}"),
+        }
+    }
+
+    /// Whether resuming `checkpoint` is refused as a mismatch.
+    fn refused(net: &Network, t: NodeId, demand: u64, checkpoint: &McCheckpoint) -> bool {
+        let out = resume(
+            net,
+            NodeId(0),
+            t,
+            demand,
+            checkpoint,
+            &McBudget::unlimited(),
+            false,
+        );
+        matches!(out, Err(McError::CheckpointMismatch { .. }))
+    }
+
+    fn dagger_checkpoint() -> McCheckpoint {
+        let mut s = settings(EstimatorKind::Dagger, 30_000);
+        s.strata = vec![EdgeId(2)];
+        interrupted(&bridge(), NodeId(3), 1, &s)
+    }
+
+    #[test]
+    fn resume_rejects_more_successes_than_samples() {
+        let net = two_parallel(0.1);
+        let mut ck = interrupted(&net, NodeId(1), 2, &settings(EstimatorKind::Crude, 30_000));
+        assert!(
+            !refused(&net, NodeId(1), 2, &ck),
+            "the untouched checkpoint resumes"
+        );
+        ck.accum = McAccum::Counts {
+            successes: ck.samples + 1,
+        };
+        assert!(refused(&net, NodeId(1), 2, &ck));
+    }
+
+    #[test]
+    fn resume_rejects_a_stratum_with_more_successes_than_samples() {
+        let mut ck = dagger_checkpoint();
+        assert!(
+            !refused(&bridge(), NodeId(3), 1, &ck),
+            "the untouched checkpoint resumes"
+        );
+        let McAccum::Strata { counts } = &mut ck.accum else {
+            panic!("dagger checkpoints carry strata counts")
+        };
+        counts[0].0 = counts[0].1 + 1;
+        assert!(refused(&bridge(), NodeId(3), 1, &ck));
+    }
+
+    #[test]
+    fn resume_rejects_strata_samples_that_do_not_add_up() {
+        let mut ck = dagger_checkpoint();
+        let McAccum::Strata { counts } = &mut ck.accum else {
+            panic!("dagger checkpoints carry strata counts")
+        };
+        counts[0].1 += 1;
+        assert!(refused(&bridge(), NodeId(3), 1, &ck));
+    }
+
+    #[test]
+    fn resume_rejects_permutation_sums_outside_the_sample_range() {
+        let net = two_parallel(0.1);
+        let s = settings(EstimatorKind::Permutation, 30_000);
+        let ck = interrupted(&net, NodeId(1), 2, &s);
+        assert!(
+            !refused(&net, NodeId(1), 2, &ck),
+            "the untouched checkpoint resumes"
+        );
+        let McAccum::Perm { sum, sum_sq } = ck.accum.clone() else {
+            panic!("permutation checkpoints carry sums")
+        };
+        let n = ck.samples as f64;
+        for bad in [
+            (n + 1.0, 0.0),
+            (-1.0, 0.0),
+            (f64::NAN, 0.0),
+            (0.0, f64::INFINITY),
+        ] {
+            for accum in [
+                McAccum::Perm { sum: bad, sum_sq },
+                McAccum::Perm { sum, sum_sq: bad },
+            ] {
+                let ck = McCheckpoint {
+                    accum,
+                    ..ck.clone()
+                };
+                assert!(refused(&net, NodeId(1), 2, &ck), "{:?}", ck.accum);
+            }
+        }
+    }
+
+    #[test]
+    fn resume_rejects_samples_before_the_first_batch() {
+        let net = two_parallel(0.1);
+        let mut ck = interrupted(&net, NodeId(1), 2, &settings(EstimatorKind::Crude, 30_000));
+        assert!(ck.samples > 0);
+        ck.next_batch = 0;
+        assert!(refused(&net, NodeId(1), 2, &ck));
     }
 
     #[test]
@@ -1569,5 +1795,101 @@ mod tests {
             "Q estimate {} should be ~1e-8",
             1.0 - r.mean
         );
+    }
+
+    /// Wheatstone bridge: s = 0, t = 3, and a middle link 1–2 (e2) that
+    /// carries flow either way.
+    fn bridge() -> Network {
+        let mut b = NetworkBuilder::new(GraphKind::Undirected);
+        let n = b.add_nodes(4);
+        b.add_edge(n[0], n[1], 1, 0.1).unwrap();
+        b.add_edge(n[0], n[2], 1, 0.2).unwrap();
+        b.add_edge(n[1], n[2], 1, 0.3).unwrap();
+        b.add_edge(n[1], n[3], 1, 0.2).unwrap();
+        b.add_edge(n[2], n[3], 1, 0.1).unwrap();
+        b.build()
+    }
+
+    /// One fixed-seed run of each sampling loop that consults the batch
+    /// certificate cache: `(name, network, sink, demand, settings)`.
+    fn cached_runs() -> [(&'static str, Network, NodeId, u64, McSettings); 3] {
+        let mut dagger = settings(EstimatorKind::Dagger, 20_000);
+        dagger.strata = vec![EdgeId(2)];
+        [
+            (
+                "crude",
+                bridge(),
+                NodeId(3),
+                1,
+                settings(EstimatorKind::Crude, 20_000),
+            ),
+            (
+                "crude, 3-state link",
+                spectrum_series(),
+                NodeId(2),
+                2,
+                settings(EstimatorKind::Crude, 20_000),
+            ),
+            ("dagger", bridge(), NodeId(3), 1, dagger),
+        ]
+    }
+
+    #[test]
+    fn certificates_leave_estimates_unchanged_and_skip_most_solves() {
+        // bit patterns of (mean, ci_low, ci_high) and the sample count, as
+        // the samplers produced them when every sample ran the solver
+        const PINNED: [(u64, u64, u64, u64); 3] = [
+            (
+                0x3fee_5c28_f5c2_8f5c,
+                0x3fee_4269_3e77_a6bc,
+                0x3fee_747f_36af_08b0,
+                20_000,
+            ),
+            (
+                0x3fdc_e560_4189_374c,
+                0x3fdc_748a_16e3_1ea8,
+                0x3fdd_5684_8e0a_f67a,
+                20_000,
+            ),
+            (
+                0x3fee_5e27_0a9d_d579,
+                0x3fee_447b_188e_8f83,
+                0x3fee_7669_e9e5_1c3f,
+                20_000,
+            ),
+        ];
+        for ((name, net, t, demand, s), want) in cached_runs().into_iter().zip(PINNED) {
+            let serial = run(
+                &net,
+                NodeId(0),
+                t,
+                demand,
+                &s,
+                &McBudget::unlimited(),
+                false,
+            )
+            .unwrap();
+            let r = *serial.report();
+            assert_eq!(
+                (
+                    r.mean.to_bits(),
+                    r.ci_low.to_bits(),
+                    r.ci_high.to_bits(),
+                    r.samples
+                ),
+                want,
+                "{name}: {r:?}"
+            );
+            assert!(
+                r.flow_evals < r.samples / 10,
+                "{name}: certificates must decide most samples: {r:?}"
+            );
+            let parallel =
+                run(&net, NodeId(0), t, demand, &s, &McBudget::unlimited(), true).unwrap();
+            assert_eq!(
+                serial, parallel,
+                "{name}: serial and parallel runs must agree bit for bit, flow evaluations included"
+            );
+        }
     }
 }

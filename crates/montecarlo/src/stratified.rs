@@ -17,12 +17,13 @@
 //! absorbs the overwhelming bulk of the probability near R → 1, leaving the
 //! sampler to resolve only the strata where the answer is in doubt.
 
-use maxflow::{build_flow, NetworkFlow, SolverKind, Workspace};
+use maxflow::{build_flow, SolverKind, Workspace};
 use netgraph::{EdgeId, EdgeMask, Network, NodeId};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::check_edges;
+use crate::engine::SampleOracle;
 use crate::error::McError;
 
 /// Maximum strata links: `2^k` strata must stay enumerable.
@@ -56,8 +57,6 @@ pub(crate) struct MixedStratum {
 /// mixed strata left to sample.
 #[derive(Clone, Debug)]
 pub(crate) struct StrataPlan {
-    /// Network link count.
-    pub m: usize,
     /// Per-link failure probabilities.
     pub probs: Vec<f64>,
     /// Links not in the strata set, sampled within each stratum.
@@ -144,7 +143,6 @@ impl StrataPlan {
             }
         }
         Ok(StrataPlan {
-            m,
             probs,
             free,
             mixed,
@@ -191,18 +189,13 @@ impl StrataPlan {
     }
 
     /// Draws `quota` conditional samples inside mixed stratum `j` using `rng`
-    /// and counts successes. `evals` accrues the flow evaluations spent.
-    #[allow(clippy::too_many_arguments)]
+    /// and counts the ones `oracle` finds feasible.
     pub fn sample_stratum(
         &self,
         j: usize,
         quota: u64,
-        demand: u64,
-        solver: SolverKind,
-        nf: &mut NetworkFlow,
-        ws: &mut Workspace,
+        oracle: &mut SampleOracle,
         rng: &mut StdRng,
-        evals: &mut u64,
     ) -> u64 {
         let st = &self.mixed[j];
         let mut successes = 0u64;
@@ -213,13 +206,7 @@ impl StrataPlan {
                     bits |= 1 << i;
                 }
             }
-            nf.apply_mask(EdgeMask::from_bits(bits, self.m));
-            *evals += 1;
-            if demand == 0
-                || solver.solve_ws(&mut nf.graph, nf.source, nf.sink, demand, ws) >= demand
-            {
-                successes += 1;
-            }
+            successes += u64::from(oracle.admits(bits));
         }
         successes
     }
