@@ -290,6 +290,11 @@ impl Fnv1a {
 
 const HEADER: &str = "flowrel-checkpoint v1";
 
+/// How far a checkpoint's probability sums may stray past `[0, 1]` (and a
+/// feasible sum past its explored sum) through rounding before a resume
+/// refuses the checkpoint.
+pub(crate) const SLACK: f64 = 1e-9;
+
 fn bad(reason: impl Into<String>) -> ReliabilityError {
     ReliabilityError::CheckpointMismatch {
         reason: reason.into(),

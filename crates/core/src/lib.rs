@@ -105,10 +105,6 @@ pub use preprocess::{relevance_reduce, RelevantNetwork};
 pub use reduce::{reduce, ReduceStats, Reduction};
 pub use spectrum::RealizationSpectrum;
 pub use spreduce::{reduce_unit_demand, ReducedNetwork, ReductionStats};
-pub use sweep::{
-    sweep_spectrum, sweep_spectrum_budgeted, sweep_sum, sweep_sum_budgeted, sweep_table,
-    sweep_table_budgeted, PartialSpectrum, PartialSum, PartialTable, SweepConfig, SweepOracle,
-    SweepStats,
-};
+pub use sweep::{SweepConfig, SweepStats};
 pub use table::RealizationTable;
 pub use weight::{edge_weights, edge_weights_exact, Weight};

@@ -15,15 +15,15 @@ use exactmath::BigRational;
 use netgraph::{EdgeMask, GraphError, Network, StateExpansion};
 
 use crate::budget::BudgetSentinel;
-use crate::checkpoint::{NaiveCheckpoint, SweepCursor};
+use crate::checkpoint::{NaiveCheckpoint, SweepCursor, SLACK};
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::CalcOptions;
 use crate::oracle::DemandOracle;
 use crate::preprocess::relevance_reduce;
 use crate::sweep::{
-    sweep_sum, sweep_sum_budgeted, sweep_sum_mixed, sweep_sum_mixed_budgeted, CompensatedAcc,
-    MixedGeometry, PartialSum, PlainAcc, SweepAccumulator, SweepConfig, SweepGeometry, SweepStats,
+    drive, CompensatedAcc, GrayWalk, MixedGeometry, MixedWalk, PartialSweep, PlainAcc, Sums,
+    SweepAccumulator, SweepConfig, SweepStats, Walk,
 };
 use crate::weight::{digit_weights, digit_weights_exact, edge_weights_exact, EdgeWeights, Weight};
 
@@ -171,42 +171,21 @@ pub fn reliability_naive_anytime_on(
             (1.0 - p, p)
         })
         .collect();
-    let geom = SweepGeometry {
-        fallible: &fallible,
-        pinned,
-        edge_count: net.edge_count(),
-    };
-    sweep_settled(
-        &mut oracle,
-        demand,
-        1u64 << fallible.len(),
-        resume,
-        |oracle, partial| {
-            sweep_sum_budgeted::<f64, CompensatedAcc, _>(
-                oracle,
-                &geom,
-                &weights,
-                &SweepConfig::from_opts(opts),
-                sentinel,
-                partial,
-            )
-        },
-    )
+    let walk = GrayWalk::new(&fallible, pinned, net.edge_count(), &weights);
+    sweep_settled(&mut oracle, &walk, demand, opts, sentinel, resume)
 }
 
 /// The resume-and-settle frame shared by the binary and mixed-radix sweeps:
 /// answers the trivial demands without sweeping, checks a checkpoint against
-/// the `total` configurations of this instance, runs `sweep` from it, and
-/// turns the sweep's partial sum into an outcome with certified bounds.
-fn sweep_settled(
+/// this instance's walk, sweeps from it, and turns the sums into an outcome
+/// with certified bounds.
+fn sweep_settled<K: Walk<f64>>(
     oracle: &mut DemandOracle,
+    walk: &K,
     demand: FlowDemand,
-    total: u64,
+    opts: &CalcOptions,
+    sentinel: &BudgetSentinel,
     resume: Option<&NaiveCheckpoint>,
-    sweep: impl FnOnce(
-        &DemandOracle,
-        Option<PartialSum<CompensatedAcc>>,
-    ) -> (PartialSum<CompensatedAcc>, SweepStats),
 ) -> Result<NaiveOutcome, ReliabilityError> {
     if demand.demand == 0 {
         return Ok(NaiveOutcome::Complete {
@@ -220,34 +199,26 @@ fn sweep_settled(
             stats: SweepStats::default(),
         });
     }
-    let resume_partial = match resume {
-        Some(ck) => {
-            if ck.cursor.total != total {
-                return Err(ReliabilityError::CheckpointMismatch {
-                    reason: format!(
-                        "checkpoint enumerates {} configurations, this instance {}",
-                        ck.cursor.total, total
-                    ),
-                });
-            }
-            Some(PartialSum {
-                feasible: CompensatedAcc::from_state(ck.feasible),
-                explored: CompensatedAcc::from_state(ck.explored),
-                remaining: ck.cursor.remaining.clone(),
-                certs: ck.certs.clone(),
-            })
-        }
-        None => None,
+    let total = walk.total();
+    let state = match resume {
+        Some(ck) => resume_state(ck, total)?,
+        None => PartialSweep::fresh(Sums::empty(), total),
     };
-    let (partial, stats) = sweep(oracle, resume_partial);
-    if partial.is_complete() {
+    let cfg = SweepConfig::from_opts(opts);
+    let (partial, stats) = drive(&*oracle, walk, &[0], &cfg, sentinel, state);
+    let PartialSweep {
+        visitor: sums,
+        remaining,
+        certs,
+    } = partial;
+    if remaining.is_empty() {
         return Ok(NaiveOutcome::Complete {
-            reliability: partial.feasible.finish(),
+            reliability: sums.feasible.finish(),
             stats,
         });
     }
-    let feasible = partial.feasible.state();
-    let explored_state = partial.explored.state();
+    let feasible = sums.feasible.state();
+    let explored_state = sums.explored.state();
     let explored = (explored_state.0 + explored_state.1).clamp(0.0, 1.0);
     let r_low = (feasible.0 + feasible.1).clamp(0.0, 1.0);
     let r_high = (r_low + (1.0 - explored).max(0.0)).min(1.0);
@@ -256,15 +227,56 @@ fn sweep_settled(
         r_high,
         explored,
         checkpoint: NaiveCheckpoint {
-            cursor: SweepCursor {
-                total,
-                remaining: partial.remaining,
-            },
+            cursor: SweepCursor { total, remaining },
             feasible,
             explored: explored_state,
-            certs: partial.certs,
+            certs: certs.into_iter().next().unwrap_or_default(),
         },
         stats,
+    })
+}
+
+/// Checks a naive checkpoint against the `total` configurations of this
+/// instance and against what any run could have summed, and unpacks it into
+/// the driver's resume state. The sums are probabilities of configuration
+/// sets, so each lies in `[0, 1]` and the feasible set's lies below the
+/// explored set's; a checkpoint outside that could resume to a "certified"
+/// answer above 1.
+fn resume_state(
+    ck: &NaiveCheckpoint,
+    total: u64,
+) -> Result<PartialSweep<Sums<CompensatedAcc>>, ReliabilityError> {
+    let mismatch = |reason: String| ReliabilityError::CheckpointMismatch { reason };
+    if ck.cursor.total != total {
+        return Err(mismatch(format!(
+            "checkpoint enumerates {} configurations, this instance {}",
+            ck.cursor.total, total
+        )));
+    }
+    let probability = |name: &str, (s, c): (f64, f64)| {
+        let sum = s + c;
+        if s.is_finite() && c.is_finite() && (-SLACK..=1.0 + SLACK).contains(&sum) {
+            Ok(sum)
+        } else {
+            Err(mismatch(format!(
+                "checkpoint {name} sum ({s:e}, {c:e}) is not a probability"
+            )))
+        }
+    };
+    let feasible = probability("feasible", ck.feasible)?;
+    let explored = probability("explored", ck.explored)?;
+    if feasible > explored + SLACK {
+        return Err(mismatch(format!(
+            "checkpoint feasible sum {feasible} exceeds its explored sum {explored}"
+        )));
+    }
+    Ok(PartialSweep {
+        visitor: Sums {
+            feasible: CompensatedAcc::from_state(ck.feasible),
+            explored: CompensatedAcc::from_state(ck.explored),
+        },
+        remaining: ck.cursor.remaining.clone(),
+        certs: vec![ck.certs.clone()],
     })
 }
 
@@ -313,22 +325,24 @@ fn reliability_naive_mixed_on(
 ) -> Result<NaiveOutcome, ReliabilityError> {
     let (x, geom, mut oracle) = mixed_setup(net, demand, opts)?;
     let weights = digit_weights(&x);
-    sweep_settled(
-        &mut oracle,
-        demand,
-        geom.total(),
-        resume,
-        |oracle, partial| {
-            sweep_sum_mixed_budgeted::<f64, CompensatedAcc, _>(
-                oracle,
-                &geom,
-                &weights,
-                &SweepConfig::from_opts(opts),
-                sentinel,
-                partial,
-            )
-        },
-    )
+    let walk = MixedWalk::new(&geom, &weights);
+    sweep_settled(&mut oracle, &walk, demand, opts, sentinel, resume)
+}
+
+/// The exact sum over every configuration of `walk`: serial, so the
+/// deterministic exact paths stay deterministic, with certificate caching
+/// still honored (a cache hit is the verdict the solver would return, and
+/// skipping a solve never perturbs exact arithmetic).
+fn exact_sum<W: Weight, K: Walk<W>>(oracle: &DemandOracle, walk: &K, opts: &CalcOptions) -> W {
+    let cfg = SweepConfig {
+        parallel: false,
+        ..SweepConfig::from_opts(opts)
+    };
+    let fresh = PartialSweep::fresh(Sums::<PlainAcc<W>>::empty(), walk.total());
+    let sentinel = BudgetSentinel::unlimited();
+    let (done, _) = drive(oracle, walk, &[0], &cfg, &sentinel, fresh);
+    debug_assert!(done.is_complete(), "unlimited sweeps always finish");
+    done.visitor.feasible.finish()
 }
 
 /// Naive reliability with exact rational arithmetic (the validation oracle
@@ -353,24 +367,15 @@ pub fn reliability_naive_exact(
             return Ok(BigRational::zero());
         }
         let weights = digit_weights_exact(&x);
-        let cfg = SweepConfig {
-            parallel: false,
-            ..SweepConfig::from_opts(opts)
-        };
-        let (r, _) = sweep_sum_mixed::<BigRational, PlainAcc<BigRational>, _>(
-            &oracle, &geom, &weights, &cfg,
-        );
-        return Ok(r);
+        return Ok(exact_sum(&oracle, &MixedWalk::new(&geom, &weights), opts));
     }
     reliability_naive_weighted(net, demand, &edge_weights_exact(net), opts)
 }
 
 /// Naive reliability over arbitrary weights (shared generic implementation).
 ///
-/// Runs the sweep engine serially regardless of `opts.parallel` so the
-/// deterministic exact path stays deterministic; certificate caching is still
-/// honored (a cache hit is the verdict the solver would return, and skipping
-/// a solve never perturbs exact arithmetic).
+/// Runs the sweep engine serially regardless of `opts.parallel` (see
+/// `exact_sum`).
 pub fn reliability_naive_weighted<W: Weight>(
     net: &Network,
     demand: FlowDemand,
@@ -418,17 +423,8 @@ pub fn reliability_naive_weighted<W: Weight>(
         .iter()
         .map(|&i| (weights[i].0.clone(), weights[i].1.clone()))
         .collect();
-    let geom = SweepGeometry {
-        fallible: &fallible,
-        pinned,
-        edge_count: net.edge_count(),
-    };
-    let cfg = SweepConfig {
-        parallel: false,
-        ..SweepConfig::from_opts(opts)
-    };
-    let (r, _) = sweep_sum::<W, PlainAcc<W>, _>(&oracle, &geom, &compact, &cfg);
-    Ok(r)
+    let walk = GrayWalk::new(&fallible, pinned, net.edge_count(), &compact);
+    Ok(exact_sum(&oracle, &walk, opts))
 }
 
 #[cfg(test)]

@@ -43,8 +43,9 @@ pub struct CalcOptions {
     /// fixed number of certificates per kind. An ablation of the exact sweeps
     /// only: the Monte-Carlo samplers always consult their per-batch cache.
     pub certificate_cache: bool,
-    /// Carry a warm feasible flow across Gray-code configuration steps,
-    /// repairing it per flipped link instead of re-solving from scratch
+    /// Carry a warm feasible flow across configuration steps (Gray-code
+    /// steps in naive sweeps, counting steps in side sweeps), repairing it
+    /// per flipped link instead of re-solving from scratch
     /// (see [`maxflow::incremental`]). Exact: verdicts — and therefore all
     /// sums, bounds, and checkpoints — are identical with it on or off.
     pub incremental: bool,

@@ -93,7 +93,7 @@ use crate::assign::{
 };
 use crate::bottleneck::{find_all_bottleneck_sets, find_bottleneck_set, BottleneckSet};
 use crate::budget::BudgetSentinel;
-use crate::checkpoint::{Fnv1a, PlanCheckpoint, PlanLeafState, SideCheckpoint, SweepCursor};
+use crate::checkpoint::{Fnv1a, PlanCheckpoint, PlanLeafState, SideCheckpoint, SweepCursor, SLACK};
 use crate::decompose::{decompose, Side};
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
@@ -103,7 +103,7 @@ use crate::oracle::{DemandOracle, SideOracle};
 use crate::preprocess::relevance_reduce;
 use crate::reduce::{reduce, ReduceStats};
 use crate::spreduce::{reduce_unit_demand, ReductionStats};
-use crate::sweep::{sweep_spectrum_budgeted, PartialSpectrum, SweepConfig, SweepStats};
+use crate::sweep::{drive, CountWalk, Masses, PartialSweep, SweepConfig, SweepStats};
 use crate::weight::edge_weights;
 use montecarlo::{McCheckpoint, McOutcome, McReport, McSettings};
 
@@ -1290,21 +1290,20 @@ fn sweep_side(
     let dn = assignments.len();
     let mut oracle = SideOracle::new(side, assignments, opts.solver)?;
     let m = oracle.edge_count();
-    let (live, res) = match resume {
+    let weights = edge_weights(&side.net);
+    let walk = CountWalk::new(&weights);
+    let (live, state) = match resume {
         None => {
             let live: Vec<usize> = (0..dn)
                 .filter(|&j| !opts.prune_infeasible_assignments || oracle.feasible_at_best(j))
                 .collect();
-            (live, None)
+            let fresh = PartialSweep::fresh(Masses(vec![0.0; 1 << dn]), 1 << m);
+            (live, fresh)
         }
-        Some(ck) => {
-            let (live, part) = side_resume(ck, which, m, dn)?;
-            (live, Some(part))
-        }
+        Some(ck) => side_resume(ck, which, m, dn)?,
     };
-    let weights = edge_weights(&side.net);
     let cfg = SweepConfig::from_opts(opts);
-    let (part, stats) = sweep_spectrum_budgeted(&oracle, &live, &weights, dn, &cfg, sentinel, res);
+    let (part, stats) = drive(&oracle, &walk, &live, &cfg, sentinel, state);
     Ok((
         SideCheckpoint {
             cursor: SweepCursor {
@@ -1312,7 +1311,7 @@ fn sweep_side(
                 remaining: part.remaining,
             },
             live,
-            mass: part.mass,
+            mass: part.visitor.0,
             certs: part.certs,
         },
         stats,
@@ -1322,12 +1321,16 @@ fn sweep_side(
 /// Validates a side checkpoint against this decomposition and unpacks it into
 /// the sweep engine's resume form. The checkpoint's `live` set is
 /// authoritative — it records which assignments the interrupted run swept.
+/// The masses split the probability of the configurations swept so far, so
+/// they are finite, nonnegative, add up to at most 1, and sit only on masks
+/// of live assignments; a checkpoint outside that could resume to a
+/// "certified" answer above 1.
 fn side_resume(
     ck: &SideCheckpoint,
     which: &str,
     m: usize,
     dn: usize,
-) -> Result<(Vec<usize>, PartialSpectrum<f64>), ReliabilityError> {
+) -> Result<(Vec<usize>, PartialSweep<Masses<f64>>), ReliabilityError> {
     if ck.cursor.total != 1u64 << m {
         return Err(mismatch(format!(
             "{which} checkpoint enumerates {} configurations, this side {}",
@@ -1347,10 +1350,27 @@ fn side_resume(
             "{which} checkpoint marks assignment {j} live, only {dn} exist"
         )));
     }
+    let live = ck.live.iter().fold(0usize, |b, &j| b | 1 << j);
+    if let Some((r, w)) = ck
+        .mass
+        .iter()
+        .enumerate()
+        .find(|&(r, &w)| !(w.is_finite() && w >= 0.0) || (w != 0.0 && r & !live != 0))
+    {
+        return Err(mismatch(format!(
+            "{which} checkpoint puts mass {w} on mask {r:#x} (live {live:#x})"
+        )));
+    }
+    let total: f64 = ck.mass.iter().sum();
+    if total > 1.0 + SLACK {
+        return Err(mismatch(format!(
+            "{which} checkpoint masses add up to {total}"
+        )));
+    }
     Ok((
         ck.live.clone(),
-        PartialSpectrum {
-            mass: ck.mass.clone(),
+        PartialSweep {
+            visitor: Masses(ck.mass.clone()),
             remaining: ck.cursor.remaining.clone(),
             certs: ck.certs.clone(),
         },

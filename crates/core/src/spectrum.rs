@@ -15,9 +15,10 @@
 //! The builder is generic over [`Weight`], so the same sweep produces either
 //! compensated-`f64` or exact-rational masses.
 
+use crate::budget::BudgetSentinel;
 use crate::error::ReliabilityError;
 use crate::oracle::SideOracle;
-use crate::sweep::{sweep_spectrum, SweepConfig, SweepStats};
+use crate::sweep::{drive, CountWalk, Masses, PartialSweep, SweepConfig, SweepStats};
 use crate::weight::{EdgeWeights, Weight};
 
 /// Probability mass of each realization mask for one side.
@@ -82,11 +83,15 @@ impl<W: Weight> RealizationSpectrum<W> {
         let live: Vec<usize> = (0..dn)
             .filter(|&j| !prune_infeasible || oracle.feasible_at_best(j))
             .collect();
-        let (mass, stats) = sweep_spectrum(oracle, &live, weights, dn, cfg);
+        let fresh = PartialSweep::fresh(Masses(vec![W::zero(); 1 << dn]), 1 << m);
+        let sentinel = BudgetSentinel::unlimited();
+        let walk = CountWalk::new(weights);
+        let (done, stats) = drive(&*oracle, &walk, &live, cfg, &sentinel, fresh);
+        debug_assert!(done.is_complete(), "unlimited sweeps always finish");
         Ok((
             RealizationSpectrum {
                 assign_count: dn,
-                mass,
+                mass: done.visitor.0,
             },
             stats,
         ))
@@ -212,7 +217,6 @@ mod tests {
         let mut o2 = SideOracle::new(&side, &assignments, SolverKind::Dinic).unwrap();
         let cfg = SweepConfig {
             certificates: true,
-            cache_size: 16,
             ..SweepConfig::serial()
         };
         let (cached, s1) =

@@ -11,9 +11,10 @@
 //! of `O(2^{|E_c|})`); the table remains for illustration (regenerating
 //! Table I and Fig. 5) and for the memory-ablation bench.
 
+use crate::budget::BudgetSentinel;
 use crate::error::ReliabilityError;
 use crate::oracle::SideOracle;
-use crate::sweep::{sweep_table, SweepConfig, SweepStats};
+use crate::sweep::{drive, CountWalk, Masks, PartialSweep, SweepConfig, SweepStats};
 
 /// The realization array of one side: `masks[c]` has bit `j` set iff side
 /// configuration `c` realizes assignment `j`.
@@ -75,12 +76,18 @@ impl RealizationTable {
         let live: Vec<usize> = (0..dn)
             .filter(|&j| !prune_infeasible || oracle.feasible_at_best(j))
             .collect();
-        let (masks, stats) = sweep_table(oracle, &live, cfg);
+        // the table records verdicts only, so unit weights do
+        let ones = vec![(1.0, 1.0); m];
+        let fresh = PartialSweep::fresh(Masks::new(0, 1 << m), 1 << m);
+        let sentinel = BudgetSentinel::unlimited();
+        let walk = CountWalk::<f64>::new(&ones);
+        let (done, stats) = drive(&*oracle, &walk, &live, cfg, &sentinel, fresh);
+        debug_assert!(done.is_complete(), "unlimited sweeps always finish");
         Ok((
             RealizationTable {
                 assign_count: dn,
                 side_edges: m,
-                masks,
+                masks: done.visitor.masks,
             },
             stats,
         ))
@@ -165,7 +172,6 @@ mod tests {
         let mut o2 = SideOracle::new(&side, &assignments, SolverKind::Dinic).unwrap();
         let cfg = SweepConfig {
             certificates: true,
-            cache_size: 8,
             ..SweepConfig::serial()
         };
         let (cached, s1) = RealizationTable::build_with(&mut o2, 10, 10, true, &cfg).unwrap();

@@ -24,6 +24,9 @@ use crate::proto::valid_token;
 
 const MAGIC: &str = "flowrel-parked-session v1";
 
+/// The park-file line marking a session resumed from a client's checkpoint.
+const ORIGIN_CLIENT: &str = "origin client\n";
+
 /// One interrupted calculation, ready to resume.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParkedSession {
@@ -35,6 +38,9 @@ pub struct ParkedSession {
     pub net_text: String,
     /// The `flowrel-checkpoint v1` text capturing the sweep cursor.
     pub checkpoint_text: String,
+    /// The session descends from a checkpoint a client sent, not one this
+    /// server wrote, so its answers are returned but never cached.
+    pub from_client: bool,
 }
 
 impl ParkedSession {
@@ -45,6 +51,11 @@ impl ParkedSession {
         out.push('\n');
         out.push_str(&format!("token {}\n", self.token));
         out.push_str(&format!("strategy {}\n", self.strategy_key));
+        // optional line: server-started sessions keep the legacy layout, and
+        // files without it parse as server-written
+        if self.from_client {
+            out.push_str(ORIGIN_CLIENT);
+        }
         out.push_str(&format!("net {}\n", self.net_text.len()));
         out.push_str(&self.net_text);
         out.push('\n');
@@ -65,13 +76,16 @@ impl ParkedSession {
             return Err("malformed token field".into());
         }
         let (strategy_key, rest) = field(&rest, "strategy")?;
-        let (net_text, rest) = block(&rest, "net")?;
+        let from_client = rest.starts_with(ORIGIN_CLIENT);
+        let rest = rest.strip_prefix(ORIGIN_CLIENT).unwrap_or(&rest);
+        let (net_text, rest) = block(rest, "net")?;
         let (checkpoint_text, _rest) = block(&rest, "checkpoint")?;
         Ok(ParkedSession {
             token,
             strategy_key,
             net_text,
             checkpoint_text,
+            from_client,
         })
     }
 }
@@ -216,6 +230,7 @@ mod tests {
             strategy_key: "naive".into(),
             net_text: "directed\nnodes 2\nedge 0 1 1 0.1\ndemand 0 1 1\n".into(),
             checkpoint_text: "flowrel-checkpoint v1\nfingerprint 00ff\nkind naive\n".into(),
+            from_client: false,
         }
     }
 
@@ -223,6 +238,17 @@ mod tests {
     fn text_roundtrip() {
         let s = sample("abc-123");
         assert_eq!(ParkedSession::from_text(&s.to_text()).unwrap(), s);
+        assert!(!s.to_text().contains("origin"), "server-started layout");
+        let forged = ParkedSession {
+            from_client: true,
+            ..s
+        };
+        let text = forged.to_text();
+        assert!(
+            text.contains("\nstrategy naive\norigin client\nnet "),
+            "{text}"
+        );
+        assert_eq!(ParkedSession::from_text(&text).unwrap(), forged);
     }
 
     /// `s`'s text with the byte length of block `key` replaced by `len`.

@@ -584,6 +584,12 @@ fn probe_frames(conn: &mut Conn, shared: &Shared, reader: &mut FrameReader, canc
 /// calculator reduced and the reduction actually changed the instance;
 /// complete answers are stored under it too, so a *different* raw instance
 /// that reduces to the same shape is served from memory.
+///
+/// `trusted` says the run started here from scratch or from a checkpoint
+/// this server wrote. A client's checkpoint can carry certificates no solve
+/// produced, which no check of its sums catches, so an answer resumed from
+/// one goes back to that client only: it is never cached, and a session it
+/// parks stays untrusted through every later resume.
 fn finish_outcome(
     shared: &Shared,
     outcome: Result<Outcome, flowrel_core::ReliabilityError>,
@@ -591,6 +597,7 @@ fn finish_outcome(
     reduced_fingerprint: Option<u64>,
     strategy_key: &str,
     net_text: &str,
+    trusted: bool,
 ) -> Response {
     match outcome {
         Err(e) => Response::Error(WireError::reliability(&e)),
@@ -598,25 +605,19 @@ fn finish_outcome(
             // `store_result` shelves by the label: a statistical complete
             // lands on its own shelf and can never displace a certified
             // answer already cached for this fingerprint.
-            shared.cache.store_result(
-                fingerprint,
-                strategy_key,
-                CachedResult {
-                    reliability: rep.reliability,
-                    algorithm: rep.algorithm.to_string(),
-                    certified: rep.certified,
-                },
-            );
-            if let Some(rfp) = reduced_fingerprint.filter(|&rfp| rfp != fingerprint) {
-                shared.cache.store_result(
-                    rfp,
-                    strategy_key,
-                    CachedResult {
-                        reliability: rep.reliability,
-                        algorithm: rep.algorithm.to_string(),
-                        certified: rep.certified,
-                    },
-                );
+            if trusted {
+                let reduced = reduced_fingerprint.filter(|&rfp| rfp != fingerprint);
+                for fp in std::iter::once(fingerprint).chain(reduced) {
+                    shared.cache.store_result(
+                        fp,
+                        strategy_key,
+                        CachedResult {
+                            reliability: rep.reliability,
+                            algorithm: rep.algorithm.to_string(),
+                            certified: rep.certified,
+                        },
+                    );
+                }
             }
             Response::Complete {
                 reliability: rep.reliability,
@@ -633,6 +634,7 @@ fn finish_outcome(
                 strategy_key: strategy_key.to_string(),
                 net_text: net_text.to_string(),
                 checkpoint_text: checkpoint_text.clone(),
+                from_client: !trusted,
             };
             if shared.lot.park(parked).is_err() {
                 // Disk refused the parked session: the client still gets the
@@ -744,6 +746,7 @@ fn serve_compute(
             reduced_fingerprint,
             &strategy_key,
             &req.net,
+            checkpoint.is_none(),
         )
     })
 }
@@ -810,6 +813,7 @@ fn serve_resume(
             None,
             &strategy_key,
             &parked.net_text,
+            !parked.from_client,
         )
     });
     // If admission shed the resume (or the server was draining), the claimed

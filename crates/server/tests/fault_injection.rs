@@ -330,3 +330,79 @@ fn checkpoint_with_a_huge_count_is_an_error_reply_not_an_abort() {
     handle.begin_shutdown();
     handle.join();
 }
+
+/// `text` (a naive checkpoint) with one more exported certificate: `F 0`,
+/// whose empty flow support claims every configuration feasible. Its sums
+/// are untouched, so resume accepts it and reaches a plausible wrong answer.
+fn forge_feasible_cert(text: &str) -> String {
+    let mut out = String::new();
+    for line in text.lines() {
+        match line.strip_prefix("certs ") {
+            Some(n) => {
+                let n: usize = n.parse().unwrap();
+                out.push_str(&format!("certs {}\nF 0\n", n + 1));
+            }
+            None => {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+    }
+    assert_ne!(out, text, "the checkpoint carries a certs line");
+    out
+}
+
+/// An answer resumed from a client's checkpoint goes back to that client
+/// but never into the shared result cache: neither inline, nor after the
+/// run parks and a later `resume` finishes it. The next plain request is
+/// computed afresh and gets the exact answer.
+#[test]
+fn a_client_checkpoint_never_feeds_the_result_cache() {
+    let (net, reference) = instance(3, 3, 1);
+    for park_first in [false, true] {
+        let handle = server();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let text = match client
+            .compute(ComputeRequest {
+                max_configs: Some(200),
+                ..naive_compute(net.clone())
+            })
+            .unwrap()
+        {
+            Response::Partial { checkpoint, .. } => checkpoint,
+            other => panic!("expected Partial, got {other:?}"),
+        };
+        let forged = ComputeRequest {
+            checkpoint: Some(forge_feasible_cert(&text)),
+            max_configs: park_first.then_some(64),
+            ..naive_compute(net.clone())
+        };
+        let mut reply = client.compute(forged).unwrap();
+        if let Response::Partial { token, .. } = reply {
+            assert!(park_first, "an unlimited resume must finish");
+            reply = client.resume(&token).unwrap();
+        }
+        match reply {
+            Response::Complete {
+                reliability,
+                cached,
+                ..
+            } => assert!(!cached && reliability != reference, "{reliability}"),
+            other => panic!("expected the forged run to finish, got {other:?}"),
+        }
+        match client.compute(naive_compute(net.clone())).unwrap() {
+            Response::Complete {
+                reliability,
+                cached,
+                ..
+            } => {
+                assert!(!cached, "the forged answer was cached (park: {park_first})");
+                assert_eq!(reliability.to_bits(), reference.to_bits());
+            }
+            other => panic!("expected Complete, got {other:?}"),
+        }
+        assert_still_serving(&handle);
+        handle.begin_shutdown();
+        handle.join();
+    }
+}

@@ -1,0 +1,146 @@
+//! Resume refuses checkpoints whose sums or masses no run could have
+//! written.
+//!
+//! A naive checkpoint's `feasible` and `explored` sums are probabilities of
+//! configuration sets, the first a subset of the second. A side checkpoint's
+//! masses split the probability of the configurations swept so far over
+//! realization masks of live assignments. A checkpoint outside those
+//! bounds would otherwise resume to a "certified" answer outside `[0, 1]`,
+//! or to bounds that exclude the exact value; each case here must end in
+//! `CheckpointMismatch` instead.
+
+use flowrel::core::{
+    Budget, CalcOptions, Checkpoint, CheckpointKind, FlowDemand, NaiveCheckpoint, Outcome,
+    PlanLeafState, ReliabilityCalculator, ReliabilityError, SideCheckpoint, Strategy,
+};
+use flowrel::netgraph::Network;
+use flowrel::workloads::generators::{self, BarbellParams};
+
+fn calc(strategy: Strategy, max_configs: Option<u64>) -> ReliabilityCalculator {
+    ReliabilityCalculator::new()
+        .with_strategy(strategy)
+        .with_options(CalcOptions {
+            budget: Budget {
+                max_configs,
+                ..Budget::unlimited()
+            },
+            ..CalcOptions::default()
+        })
+}
+
+/// `flowrel generate grid 3 3` (4096 configurations).
+fn grid33() -> (Network, FlowDemand) {
+    let inst = generators::grid(3, 3, 1);
+    let d = FlowDemand::new(inst.source, inst.sink, inst.demand);
+    (inst.net, d)
+}
+
+/// `flowrel generate barbell 4 2 2 2 1`.
+fn barbell() -> (Network, FlowDemand) {
+    let (inst, _) = generators::barbell(BarbellParams {
+        cluster_nodes: 4,
+        cluster_extra_edges: 2,
+        cut_links: 2,
+        cut_capacity: 2,
+        demand: 2,
+        seed: 1,
+    });
+    let d = FlowDemand::new(inst.source, inst.sink, inst.demand);
+    (inst.net, d)
+}
+
+fn interrupted(c: &ReliabilityCalculator, net: &Network, d: FlowDemand) -> Checkpoint {
+    match c.run(net, d).unwrap() {
+        Outcome::Partial(p) => p.checkpoint,
+        Outcome::Complete(_) => panic!("the budget must interrupt"),
+    }
+}
+
+/// Resumes `ck` through the text form the CLI and the server read, with
+/// and without a budget; both must refuse it.
+fn assert_refused(strategy: Strategy, net: &Network, d: FlowDemand, ck: Checkpoint) {
+    let ck = Checkpoint::from_text(&ck.to_text()).unwrap();
+    for budget in [None, Some(100)] {
+        match calc(strategy.clone(), budget).resume(net, d, &ck) {
+            Err(ReliabilityError::CheckpointMismatch { .. }) => {}
+            Ok(Outcome::Complete(rep)) => panic!(
+                "resumed to {} ({}certified)",
+                rep.reliability,
+                if rep.certified { "" } else { "not " }
+            ),
+            Ok(Outcome::Partial(p)) => panic!("resumed to [{}, {}]", p.r_low, p.r_high),
+            Err(e) => panic!("refused for another reason: {e}"),
+        }
+    }
+}
+
+/// A naive grid checkpoint at 200 configurations, edited by `edit`.
+fn refuse_naive(edit: impl FnOnce(&mut NaiveCheckpoint)) {
+    let (net, d) = grid33();
+    let mut ck = interrupted(&calc(Strategy::Naive, Some(200)), &net, d);
+    let CheckpointKind::Naive(n) = &mut ck.kind else {
+        panic!("a naive run writes a naive checkpoint");
+    };
+    edit(n);
+    assert_refused(Strategy::Naive, &net, d, ck);
+}
+
+/// An auto barbell checkpoint at 40 configurations — one cut leaf whose
+/// source side stopped partway — with that side edited by `edit`.
+fn refuse_side(edit: impl FnOnce(&mut SideCheckpoint)) {
+    let (net, d) = barbell();
+    let mut ck = interrupted(&calc(Strategy::Auto, Some(40)), &net, d);
+    let CheckpointKind::Plan(p) = &mut ck.kind else {
+        panic!("an auto run writes a plan checkpoint");
+    };
+    let Some(PlanLeafState::Cut { side_s, .. }) = p.leaves.first_mut() else {
+        panic!("the barbell's plan is one cut leaf");
+    };
+    assert_eq!(side_s.live, [0, 1, 2]);
+    assert!(side_s.mass[7] > 0.0 && side_s.mass[4] > 0.0);
+    edit(side_s);
+    assert_refused(Strategy::Auto, &net, d, ck);
+}
+
+#[test]
+fn naive_sums_with_a_non_finite_part_are_refused() {
+    refuse_naive(|n| n.explored = (f64::NAN, 0.0));
+    refuse_naive(|n| n.feasible.1 = f64::INFINITY);
+}
+
+#[test]
+fn naive_sums_outside_the_unit_interval_are_refused() {
+    refuse_naive(|n| {
+        n.feasible = (1.5, 0.0);
+        n.explored = (1.5, 0.0);
+    });
+    refuse_naive(|n| {
+        n.feasible = (-0.5, 0.0);
+        n.explored = (-0.25, 0.0);
+    });
+}
+
+#[test]
+fn a_feasible_sum_above_the_explored_sum_is_refused() {
+    refuse_naive(|n| n.feasible = (n.explored.0 + 1e-3, n.explored.1));
+}
+
+#[test]
+fn non_finite_or_negative_side_masses_are_refused() {
+    refuse_side(|s| s.mass[3] = f64::NAN);
+    refuse_side(|s| s.mass[3] = -0.01);
+}
+
+#[test]
+fn side_masses_adding_up_past_one_are_refused() {
+    refuse_side(|s| s.mass[7] = 2.0);
+}
+
+#[test]
+fn side_mass_on_a_mask_outside_the_live_set_is_refused() {
+    // assignment 2 stops being live, but masks 4..8 still carry mass
+    refuse_side(|s| {
+        s.live = vec![0, 1];
+        s.certs.truncate(2);
+    });
+}

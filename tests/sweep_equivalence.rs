@@ -149,7 +149,6 @@ fn certificate_hits_never_change_spectrum_masses() {
             let mut o2 = SideOracle::new(side, &assignments, Default::default()).unwrap();
             let cfg = SweepConfig {
                 certificates: true,
-                cache_size: 32,
                 ..SweepConfig::serial()
             };
             let (cached, stats) =
