@@ -7,7 +7,9 @@
 //! Usage: `bench_sweep [--smoke] [output.json]`
 //!
 //! `--smoke` runs one rep on small graphs: a seconds-scale CI check that the
-//! full mode matrix still executes and agrees, not a measurement.
+//! full mode matrix still executes and agrees, not a measurement. Otherwise
+//! each row repeats its run until the repetitions total at least half a
+//! second, and at least three times, and reports the median wall time.
 //!
 //! ## JSON schema
 //!
@@ -23,22 +25,38 @@ use std::time::Instant;
 use flowrel_bench::{barbell_with_edges, demand_of, ring_barbell, tight_barbell};
 use flowrel_core::algorithm::reliability_bottleneck_weighted;
 use flowrel_core::weight::edge_weights;
-use flowrel_core::{reliability_naive_with_stats, CalcOptions, SweepStats};
+use flowrel_core::{reliability_naive_with_stats, sweep_threads, CalcOptions, SweepStats};
 use workloads::generators::{degraded_barbell, BarbellParams};
 
 /// Naive enumeration is skipped above this many links (2^|E| solves).
 const NAIVE_MAX_EDGES: usize = 20;
 
-/// One timed run: (reliability, stats, wall seconds). Best of `reps`.
-fn time_best<F: FnMut() -> (f64, SweepStats)>(reps: usize, mut f: F) -> (f64, SweepStats, f64) {
-    let mut best = f64::INFINITY;
+/// Repetitions of a measured row: at least this many...
+const MIN_REPS: usize = 3;
+/// ...and at least this much wall time in total, so a sub-millisecond row
+/// still resolves a 10% change.
+const MIN_TOTAL_SECONDS: f64 = 0.5;
+
+/// One timed row: (reliability, stats, wall seconds), the median over
+/// [`MIN_REPS`] or more repetitions totalling [`MIN_TOTAL_SECONDS`] or more;
+/// one repetition in `smoke` mode.
+fn time_median<F: FnMut() -> (f64, SweepStats)>(smoke: bool, mut f: F) -> (f64, SweepStats, f64) {
+    let (min_reps, min_total) = if smoke {
+        (1, 0.0)
+    } else {
+        (MIN_REPS, MIN_TOTAL_SECONDS)
+    };
+    let mut times = Vec::new();
     let mut out = (0.0, SweepStats::default());
-    for _ in 0..reps {
+    while times.len() < min_reps || times.iter().sum::<f64>() < min_total {
         let t0 = Instant::now();
         out = f();
-        best = best.min(t0.elapsed().as_secs_f64());
+        times.push(t0.elapsed().as_secs_f64());
     }
-    (out.0, out.1, best)
+    times.sort_by(f64::total_cmp);
+    let n = times.len();
+    let median = (times[(n - 1) / 2] + times[n / 2]) / 2.0;
+    (out.0, out.1, median)
 }
 
 struct ModeRow {
@@ -130,7 +148,6 @@ fn main() {
             other => out_path = other.to_string(),
         }
     }
-    let reps = if smoke { 1 } else { 3 };
     let mut cases = Vec::new();
 
     let mut graphs = Vec::new();
@@ -203,7 +220,7 @@ fn main() {
             for (label, par, certs, incr) in MODES {
                 let o = opts(par, certs, incr);
                 let solver = o.solver.name();
-                let (r, stats, secs) = time_best(reps, || {
+                let (r, stats, secs) = time_median(smoke, || {
                     reliability_naive_with_stats(&inst.net, d, &o).expect("naive")
                 });
                 eprintln!(
@@ -230,7 +247,7 @@ fn main() {
             for (label, par, certs, incr) in MODES {
                 let o = opts(par, certs, incr);
                 let solver = o.solver.name();
-                let (r, stats, secs) = time_best(reps, || {
+                let (r, stats, secs) = time_median(smoke, || {
                     let (r, report) =
                         reliability_bottleneck_weighted(&inst.net, d, &cut, &weights, &o)
                             .expect("bottleneck");
@@ -340,16 +357,10 @@ fn main() {
     let json = format!(
         "{{\n \"bench\": \"sweep_engine\",\n \"smoke\": {},\n \"threads\": {},\n \"cases\": [\n{}\n ]\n}}\n",
         smoke,
-        rayon_threads(),
+        sweep_threads(),
         cases.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_sweep.json");
     eprintln!("wrote {out_path}");
     print!("{json}");
-}
-
-fn rayon_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }

@@ -36,14 +36,17 @@
 //! ## Exit codes
 //!
 //! Every failure mode has its own status so scripts can branch without
-//! parsing stderr: `2` usage, `3` file I/O, `4` file parse, `10`–`24` one
+//! parsing stderr: `2` usage, `3` file I/O (and a failed write to stdout;
+//! a closed stdout is not a failure), `4` file parse, `10`–`24` one
 //! per [`flowrel_core::ReliabilityError`] variant (see [`CliError::from`]),
 //! and `20` for an *incomplete* run — the budget ran out and a partial
 //! result with rigorous bounds plus a checkpoint was produced. Monte-Carlo
 //! runs use the same scheme: an interrupted estimation writes its checkpoint
 //! and exits `20`; invalid sampling parameters exit `24`.
 
+use std::io::{self, Write as _};
 use std::process::ExitCode;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use flowrel_core::fnet as format;
@@ -53,6 +56,53 @@ use flowrel_core::{
     FlowDemand, Outcome, ReliabilityCalculator, ReliabilityError, Strategy,
 };
 use netgraph::find_bridges;
+
+/// `println!` that never panics; see [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` that never panics; see [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// The first error writing stdout, other than a closed pipe.
+static STDOUT_ERROR: OnceLock<io::Error> = OnceLock::new();
+
+/// Writes to stdout. Once stdout is closed (say, by `flowrel ... | head`),
+/// the rest of the report is dropped quietly and the process keeps the exit
+/// status the run would have had. Any other write error (a full disk, say)
+/// drops the rest too, and [`stdout_status`] reports it.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if STDOUT_ERROR.get().is_none() {
+        if let Err(e) = io::stdout().write_fmt(args) {
+            note_stdout_error(e);
+        }
+    }
+}
+
+fn note_stdout_error(e: io::Error) {
+    if e.kind() != io::ErrorKind::BrokenPipe {
+        let _ = STDOUT_ERROR.set(e);
+    }
+}
+
+/// Flushes stdout; an I/O error (exit `3`) if a write to it failed other
+/// than on a closed pipe.
+fn stdout_status() -> Result<(), CliError> {
+    if let Err(e) = io::stdout().flush() {
+        note_stdout_error(e);
+    }
+    match STDOUT_ERROR.get() {
+        Some(e) => Err(CliError::io(format!("writing stdout: {e}"))),
+        None => Ok(()),
+    }
+}
 
 /// Exit status for a budget-limited run that produced bounds + checkpoint
 /// instead of an exact value.
@@ -228,7 +278,7 @@ fn mc_settings(args: &[String]) -> Result<montecarlo::McSettings, CliError> {
 /// failures here never abort the computation.
 fn explain(net: &netgraph::Network, demand: FlowDemand, strategy: &Strategy, opts: &CalcOptions) {
     if *strategy != Strategy::Auto {
-        println!("plan: not applicable ({strategy:?} does not use the decomposition planner)");
+        outln!("plan: not applicable ({strategy:?} does not use the decomposition planner)");
         return;
     }
     // Mirror the calculator: reduce first (when enabled), plan the remnant,
@@ -239,7 +289,7 @@ fn explain(net: &netgraph::Network, demand: FlowDemand, strategy: &Strategy, opt
         .then(|| flowrel_core::reduce(net, demand, true, opts.solver))
         .filter(|r| !r.is_identity());
     if let Some(r) = &red {
-        println!("{}", r.summary());
+        outln!("{}", r.summary());
     }
     let (pnet, pdemand) = red.as_ref().map_or((net, demand), |r| (&r.net, r.demand));
     let planned = find_bottleneck_set(pnet, pdemand.source, pdemand.sink, 3)
@@ -250,9 +300,9 @@ fn explain(net: &netgraph::Network, demand: FlowDemand, strategy: &Strategy, opt
                 Some(r) => plan.with_reduction(r),
                 None => plan,
             };
-            print!("{}", plan.render());
+            out!("{}", plan.render());
         }
-        Err(e) => println!("plan: none ({e}); the strategy will fall back or fail accordingly"),
+        Err(e) => outln!("plan: none ({e}); the strategy will fall back or fail accordingly"),
     }
 }
 
@@ -264,14 +314,19 @@ fn explain_slots(slots: &[flowrel_core::PlanSlotReport]) {
     if slots.is_empty() {
         return;
     }
-    println!(
+    outln!(
         "plan accounting: {} leaf slot{} (predicted = configs left at start; share = budget fraction granted)",
         slots.len(),
         if slots.len() == 1 { "" } else { "s" }
     );
-    println!(
+    outln!(
         "{:>6} {:>6} {:>12} {:>8} {:>12} {:>10}",
-        "slot", "kind", "predicted", "share", "configs", "explored"
+        "slot",
+        "kind",
+        "predicted",
+        "share",
+        "configs",
+        "explored"
     );
     for s in slots {
         let share = if s.share > 0.0 {
@@ -279,7 +334,7 @@ fn explain_slots(slots: &[flowrel_core::PlanSlotReport]) {
         } else {
             "-".to_string()
         };
-        println!(
+        outln!(
             "{:>6} {:>6} {:>12.3e} {:>8} {:>12} {:>9.3}%",
             format!("#{}", s.index),
             s.kind,
@@ -290,7 +345,7 @@ fn explain_slots(slots: &[flowrel_core::PlanSlotReport]) {
         );
     }
     for s in slots.iter().filter(|s| s.kind == "mc") {
-        println!(
+        outln!(
             "slot #{} sampled: predicted exact cost {:.3e} configs exceeded its apportioned \
              budget share ({:.1}%), so the leaf ran the Monte-Carlo estimator instead \
              ({} samples drawn)",
@@ -402,13 +457,16 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
                 }
             }
             if let Some(mc) = &partial.mc {
-                println!(
+                outln!(
                     "partial estimate: reliability in [{:.12}, {:.12}]  (via {}, 95% Wilson \
                      interval from {} samples — statistical, not certified)",
-                    partial.r_low, partial.r_high, partial.algorithm, mc.samples
+                    partial.r_low,
+                    partial.r_high,
+                    partial.algorithm,
+                    mc.samples
                 );
             } else {
-                println!(
+                outln!(
                     "partial result: reliability in [{:.12}, {:.12}]  (via {}, {:.3}% of the \
                      configuration space explored)",
                     partial.r_low,
@@ -417,8 +475,8 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
                     100.0 * partial.explored
                 );
             }
-            println!("checkpoint written to {checkpoint_path}");
-            println!("resume with: flowrel compute {path} --resume {checkpoint_path}");
+            outln!("checkpoint written to {checkpoint_path}");
+            outln!("resume with: flowrel compute {path} --resume {checkpoint_path}");
             let quality = if partial.certified {
                 "certified"
             } else {
@@ -433,25 +491,31 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
             });
         }
     };
-    println!(
+    outln!(
         "reliability = {:.12}  (via {})",
-        report.reliability, report.algorithm
+        report.reliability,
+        report.algorithm
     );
     if report.certified {
-        println!("certainty   : certified (exact enumeration)");
+        outln!("certainty   : certified (exact enumeration)");
     } else {
-        println!(
+        outln!(
             "certainty   : statistical — 95% interval [{:.12}, {:.12}]",
-            report.interval.0, report.interval.1
+            report.interval.0,
+            report.interval.1
         );
     }
     if let Some(b) = report.bottleneck {
-        println!(
+        outln!(
             "bottleneck: {:?}  |E_s|={} |E_t|={} alpha={:.3} |D|={}",
-            b.set.edges, b.set.side_s_edges, b.set.side_t_edges, b.alpha, b.assignment_count
+            b.set.edges,
+            b.set.side_s_edges,
+            b.set.side_t_edges,
+            b.alpha,
+            b.assignment_count
         );
         if b.sweep.configs > 0 {
-            println!(
+            outln!(
                 "sweep: {} configs, {} solver calls, {} avoided by certificates ({:.1}% hit rate)",
                 b.sweep.configs,
                 b.sweep.solver_calls,
@@ -460,9 +524,11 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
             );
         }
         if b.sweep.flips > 0 || b.sweep.full_resolves > 0 {
-            println!(
+            outln!(
                 "warm repair: {} edge flips absorbed, {} paths cancelled, {} full re-solves",
-                b.sweep.flips, b.sweep.repairs, b.sweep.full_resolves
+                b.sweep.flips,
+                b.sweep.repairs,
+                b.sweep.full_resolves
             );
         }
         if explaining {
@@ -471,21 +537,25 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
     }
     if let Some(mc) = report.mc {
         if mc.exact {
-            println!(
+            outln!(
                 "mc: value classified exactly ({} flow evals, no sampling needed)",
                 mc.flow_evals
             );
         } else {
-            println!(
+            outln!(
                 "mc: 95% CI [{:.12}, {:.12}]  se={:.3e}  {} samples, {} flow evals",
-                mc.ci_low, mc.ci_high, mc.std_error, mc.samples, mc.flow_evals
+                mc.ci_low,
+                mc.ci_high,
+                mc.std_error,
+                mc.samples,
+                mc.flow_evals
             );
         }
     }
     if args.iter().any(|a| a == "--exact") {
         let exact = reliability_naive_exact(&file.net, demand, &CalcOptions::default())?;
-        println!("exact       = {exact}");
-        println!("            = {}…", exact.to_decimal_string(15));
+        outln!("exact       = {exact}");
+        outln!("            = {}…", exact.to_decimal_string(15));
     }
     Ok(())
 }
@@ -494,7 +564,7 @@ fn cmd_analyze(path: &str, args: &[String]) -> Result<(), CliError> {
     check_flags(args, ANALYZE_FLAGS)?;
     let file = load(path)?;
     let net = &file.net;
-    println!(
+    outln!(
         "{} network: {} nodes, {} links",
         match net.kind() {
             netgraph::GraphKind::Directed => "directed",
@@ -504,9 +574,9 @@ fn cmd_analyze(path: &str, args: &[String]) -> Result<(), CliError> {
         net.edge_count()
     );
     let bridges = find_bridges(net);
-    println!("bridges: {bridges:?}");
+    outln!("bridges: {bridges:?}");
     let Some(demand) = file.demand else {
-        println!("(no demand line: skipping demand-specific analysis)");
+        outln!("(no demand line: skipping demand-specific analysis)");
         return Ok(());
     };
     let max_k: usize = flag_value(args, "--max-k")
@@ -514,26 +584,29 @@ fn cmd_analyze(path: &str, args: &[String]) -> Result<(), CliError> {
         .transpose()?
         .unwrap_or(3);
     let cut = maxflow::min_cut(net, demand.source, demand.sink, maxflow::SolverKind::Dinic);
-    println!(
+    outln!(
         "max flow {} -> {}: {} (min cut {:?})",
-        demand.source, demand.sink, cut.value, cut.edges
+        demand.source,
+        demand.sink,
+        cut.value,
+        cut.edges
     );
     match find_bottleneck_set(net, demand.source, demand.sink, max_k) {
-        Ok(set) => println!(
+        Ok(set) => outln!(
             "best bottleneck set (k <= {max_k}): {:?}  |E_s|={} |E_t|={} alpha={:.3}",
             set.edges,
             set.side_s_edges,
             set.side_t_edges,
             set.alpha(net.edge_count())
         ),
-        Err(e) => println!("bottleneck search: {e}"),
+        Err(e) => outln!("bottleneck search: {e}"),
     }
     if demand.demand == 1 && net.edge_count() <= 20 {
         if let Ok((lo, hi)) = esary_proschan_bounds(net, demand, 100_000) {
-            println!("Esary-Proschan bounds: [{lo:.6}, {hi:.6}]");
+            outln!("Esary-Proschan bounds: [{lo:.6}, {hi:.6}]");
         }
         if let Ok(cuts) = enumerate_minimal_cuts(net, demand.source, demand.sink, 4) {
-            println!("minimal cut sets (size <= 4): {}", cuts.len());
+            outln!("minimal cut sets (size <= 4): {}", cuts.len());
         }
     }
     Ok(())
@@ -637,7 +710,7 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
             ))
         }
     };
-    print!("{}", format::serialize(&net, Some(demand)));
+    out!("{}", format::serialize(&net, Some(demand)));
     Ok(())
 }
 
@@ -646,14 +719,17 @@ fn cmd_importance(path: &str, args: &[String]) -> Result<(), CliError> {
     let file = load(path)?;
     let demand = demand_of(&file)?;
     let imp = birnbaum_importance(&file.net, demand, &CalcOptions::default())?;
-    println!("reliability = {:.9}", imp.reliability);
-    println!(
+    outln!("reliability = {:.9}", imp.reliability);
+    outln!(
         "{:>6} {:>14} {:>12} {:>12}  link",
-        "rank", "potential", "birnbaum", "p(e)"
+        "rank",
+        "potential",
+        "birnbaum",
+        "p(e)"
     );
     for (rank, &e) in imp.ranked().iter().enumerate() {
         let edge = file.net.edge(netgraph::EdgeId::from(e));
-        println!(
+        outln!(
             "{:>6} {:>14.6} {:>12.6} {:>12.4}  e{e}: {} -> {}",
             rank + 1,
             imp.improvement[e],
@@ -669,7 +745,7 @@ fn cmd_importance(path: &str, args: &[String]) -> Result<(), CliError> {
 fn cmd_dot(path: &str, args: &[String]) -> Result<(), CliError> {
     check_flags(args, &[])?;
     let file = load(path)?;
-    print!("{}", netgraph::dot::to_dot(&file.net, &[]));
+    out!("{}", netgraph::dot::to_dot(&file.net, &[]));
     Ok(())
 }
 
@@ -687,7 +763,13 @@ fn main() -> ExitCode {
         ("dot", Some(path)) => cmd_dot(path, &rest[1..]),
         _ => return usage(),
     };
-    match result {
+    // a failed run keeps its own status; a report that could not be
+    // written fails an otherwise successful one
+    let written = stdout_status();
+    if let (Err(_), Err(e)) = (&result, &written) {
+        eprintln!("error: {}", e.message);
+    }
+    match result.and(written) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {}", e.message);

@@ -173,3 +173,90 @@ fn importance_beyond_the_link_mask_is_an_error_not_a_panic() {
     assert_eq!(code, Some(12), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Runs the `flowrel` binary with its stdout a pipe whose reading end is
+/// closed before the binary writes; returns its exit code and stderr.
+fn flowrel_into_closed_pipe(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_flowrel"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("the flowrel binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("the flowrel binary exits");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn a_closed_stdout_keeps_the_run_exit_status() {
+    let inst = workloads::generators::grid(3, 3, 1);
+    let demand = FlowDemand::new(inst.source, inst.sink, inst.demand);
+    let dir = std::env::temp_dir().join(format!("flowrel-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("grid.fnet");
+    std::fs::write(&path, format::serialize(&inst.net, Some(demand))).unwrap();
+    let file = path.to_str().unwrap();
+    let ckpt = dir.join("grid.ckpt");
+
+    let (code, err) = flowrel_into_closed_pipe(&["compute", file, "--strategy", "naive"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    // a partial run still writes its checkpoint and exits "incomplete"
+    let budgeted = [
+        "compute",
+        file,
+        "--strategy",
+        "naive",
+        "--max-configs",
+        "200",
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+    ];
+    let (code, err) = flowrel_into_closed_pipe(&budgeted);
+    assert_eq!(code, Some(20), "{err}");
+    assert!(ckpt.exists());
+    // 7 080 link lines overflow any pipe buffer, so a write must fail
+    let (code, err) = flowrel_into_closed_pipe(&["generate", "grid", "60", "60", "1"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A stdout that fails for another reason than a closed pipe (`/dev/full`
+/// fails every write, as a full disk does) fails the run with exit 3
+/// instead of leaving a truncated report behind a success.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failing_stdout_is_an_io_error() {
+    let inst = workloads::generators::grid(3, 3, 1);
+    let demand = FlowDemand::new(inst.source, inst.sink, inst.demand);
+    let dir = std::env::temp_dir().join(format!("flowrel-cli-full-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("grid.fnet");
+    std::fs::write(&path, format::serialize(&inst.net, Some(demand))).unwrap();
+    let file = path.to_str().unwrap();
+
+    for args in [
+        &["generate", "grid", "60", "60", "1"][..],
+        &["compute", file, "--strategy", "naive"][..],
+    ] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("/dev/full opens");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_flowrel"))
+            .args(args)
+            .stdout(full)
+            .output()
+            .expect("the flowrel binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{args:?}: {err}");
+        assert!(err.contains("writing stdout"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -21,6 +21,7 @@ use crate::assign::AssignmentModel;
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::CalcOptions;
+use crate::sweep::LANE_CERTS;
 
 /// Where an interrupted sweep stopped: the size of its index space and the
 /// half-open index ranges never examined.
@@ -294,6 +295,33 @@ const HEADER: &str = "flowrel-checkpoint v1";
 /// feasible sum past its explored sum) through rounding before a resume
 /// refuses the checkpoint.
 pub(crate) const SLACK: f64 = 1e-9;
+
+/// Refuses one lane's certificate list when no run could have written it:
+/// longer than [`LANE_CERTS`], which also bounds the pairwise test, or
+/// holding a support and a cut that contradict each other (see
+/// [`maxflow::contradiction`]), which would answer some configurations both
+/// ways. `caps` are the capacities of the links the certificates' bits
+/// name; `which` names the list.
+pub(crate) fn check_certs(
+    certs: &[SolveCert],
+    caps: &[u64],
+    which: &str,
+) -> Result<(), ReliabilityError> {
+    if certs.len() > LANE_CERTS {
+        return Err(bad(format!(
+            "{which} checkpoint carries {} certificates for one lane, a run writes at most \
+             {LANE_CERTS}",
+            certs.len()
+        )));
+    }
+    match maxflow::contradiction(certs, caps) {
+        None => Ok(()),
+        Some((support, crossing, needed)) => Err(bad(format!(
+            "{which} certificates contradict: support {support:#x} carries less than \
+             {needed} across cut {crossing:#x}"
+        ))),
+    }
+}
 
 fn bad(reason: impl Into<String>) -> ReliabilityError {
     ReliabilityError::CheckpointMismatch {

@@ -105,6 +105,6 @@ pub use preprocess::{relevance_reduce, RelevantNetwork};
 pub use reduce::{reduce, ReduceStats, Reduction};
 pub use spectrum::RealizationSpectrum;
 pub use spreduce::{reduce_unit_demand, ReducedNetwork, ReductionStats};
-pub use sweep::{SweepConfig, SweepStats};
+pub use sweep::{sweep_threads, SweepConfig, SweepStats};
 pub use table::RealizationTable;
 pub use weight::{edge_weights, edge_weights_exact, Weight};

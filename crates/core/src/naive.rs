@@ -15,7 +15,7 @@ use exactmath::BigRational;
 use netgraph::{EdgeMask, GraphError, Network, StateExpansion};
 
 use crate::budget::BudgetSentinel;
-use crate::checkpoint::{NaiveCheckpoint, SweepCursor, SLACK};
+use crate::checkpoint::{check_certs, NaiveCheckpoint, SweepCursor, SLACK};
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::CalcOptions;
@@ -201,7 +201,7 @@ fn sweep_settled<K: Walk<f64>>(
     }
     let total = walk.total();
     let state = match resume {
-        Some(ck) => resume_state(ck, total)?,
+        Some(ck) => resume_state(ck, total, oracle.edge_capacities())?,
         None => PartialSweep::fresh(Sums::empty(), total),
     };
     let cfg = SweepConfig::from_opts(opts);
@@ -241,10 +241,12 @@ fn sweep_settled<K: Walk<f64>>(
 /// the driver's resume state. The sums are probabilities of configuration
 /// sets, so each lies in `[0, 1]` and the feasible set's lies below the
 /// explored set's; a checkpoint outside that could resume to a "certified"
-/// answer above 1.
+/// answer above 1. Its certificates, over links of capacities `caps`, must
+/// not contradict each other.
 fn resume_state(
     ck: &NaiveCheckpoint,
     total: u64,
+    caps: &[u64],
 ) -> Result<PartialSweep<Sums<CompensatedAcc>>, ReliabilityError> {
     let mismatch = |reason: String| ReliabilityError::CheckpointMismatch { reason };
     if ck.cursor.total != total {
@@ -270,6 +272,7 @@ fn resume_state(
             "checkpoint feasible sum {feasible} exceeds its explored sum {explored}"
         )));
     }
+    check_certs(&ck.certs, caps, "naive")?;
     Ok(PartialSweep {
         visitor: Sums {
             feasible: CompensatedAcc::from_state(ck.feasible),

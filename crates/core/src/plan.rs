@@ -93,7 +93,9 @@ use crate::assign::{
 };
 use crate::bottleneck::{find_all_bottleneck_sets, find_bottleneck_set, BottleneckSet};
 use crate::budget::BudgetSentinel;
-use crate::checkpoint::{Fnv1a, PlanCheckpoint, PlanLeafState, SideCheckpoint, SweepCursor, SLACK};
+use crate::checkpoint::{
+    check_certs, Fnv1a, PlanCheckpoint, PlanLeafState, SideCheckpoint, SweepCursor, SLACK,
+};
 use crate::decompose::{decompose, Side};
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
@@ -1300,7 +1302,7 @@ fn sweep_side(
             let fresh = PartialSweep::fresh(Masses(vec![0.0; 1 << dn]), 1 << m);
             (live, fresh)
         }
-        Some(ck) => side_resume(ck, which, m, dn)?,
+        Some(ck) => side_resume(ck, which, m, dn, oracle.edge_capacities())?,
     };
     let cfg = SweepConfig::from_opts(opts);
     let (part, stats) = drive(&oracle, &walk, &live, &cfg, sentinel, state);
@@ -1324,12 +1326,14 @@ fn sweep_side(
 /// The masses split the probability of the configurations swept so far, so
 /// they are finite, nonnegative, add up to at most 1, and sit only on masks
 /// of live assignments; a checkpoint outside that could resume to a
-/// "certified" answer above 1.
+/// "certified" answer above 1. No assignment's certificates, over side
+/// links of capacities `caps`, may contradict each other.
 fn side_resume(
     ck: &SideCheckpoint,
     which: &str,
     m: usize,
     dn: usize,
+    caps: &[u64],
 ) -> Result<(Vec<usize>, PartialSweep<Masses<f64>>), ReliabilityError> {
     if ck.cursor.total != 1u64 << m {
         return Err(mismatch(format!(
@@ -1366,6 +1370,9 @@ fn side_resume(
         return Err(mismatch(format!(
             "{which} checkpoint masses add up to {total}"
         )));
+    }
+    for certs in &ck.certs {
+        check_certs(certs, caps, which)?;
     }
     Ok((
         ck.live.clone(),

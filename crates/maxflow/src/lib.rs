@@ -46,7 +46,9 @@ pub mod solver;
 pub mod workspace;
 
 pub use capacity_scaling::CapacityScaling;
-pub use certcache::{CertCache, SolveCert, CERTIFICATE_CACHE_SIZE};
+pub use certcache::{
+    contradiction, Block, BlockOrder, CertCache, SolveCert, CERTIFICATE_CACHE_SIZE,
+};
 pub use dinic::Dinic;
 pub use edmonds_karp::EdmondsKarp;
 pub use ford_fulkerson::BfsFordFulkerson;

@@ -558,7 +558,7 @@ pub(crate) struct SampleOracle {
     nf: NetworkFlow,
     ws: Workspace,
     cache: CertCache,
-    caps: Vec<u64>,
+    edge_count: usize,
     solver: SolverKind,
     demand: u64,
     /// Solver calls made so far.
@@ -568,11 +568,12 @@ pub(crate) struct SampleOracle {
 impl SampleOracle {
     /// Lowers `net` for the `s → t` demand with an empty cache.
     fn new(net: &Network, s: NodeId, t: NodeId, demand: u64, solver: SolverKind) -> Self {
+        let caps: Vec<u64> = net.edges().iter().map(|e| e.capacity).collect();
         SampleOracle {
             nf: build_flow(net, s, t),
             ws: Workspace::new(),
-            cache: CertCache::new(CERTIFICATE_CACHE_SIZE),
-            caps: net.edges().iter().map(|e| e.capacity).collect(),
+            cache: CertCache::new(CERTIFICATE_CACHE_SIZE, &caps),
+            edge_count: caps.len(),
             solver,
             demand,
             evals: 0,
@@ -581,12 +582,12 @@ impl SampleOracle {
 
     /// Does the configuration whose alive links are `bits` carry the demand?
     pub(crate) fn admits(&mut self, bits: u64) -> bool {
-        if let Some(verdict) = self.cache.classify(bits, &self.caps) {
+        if let Some(verdict) = self.cache.classify(bits) {
             return verdict;
         }
         self.evals += 1;
         let (nf, demand) = (&mut self.nf, self.demand);
-        nf.apply_mask(EdgeMask::from_bits(bits, self.caps.len()));
+        nf.apply_mask(EdgeMask::from_bits(bits, self.edge_count));
         let flow = self
             .solver
             .solve_ws(&mut nf.graph, nf.source, nf.sink, demand, &mut self.ws);

@@ -331,16 +331,28 @@ fn checkpoint_with_a_huge_count_is_an_error_reply_not_an_abort() {
     handle.join();
 }
 
-/// `text` (a naive checkpoint) with one more exported certificate: `F 0`,
-/// whose empty flow support claims every configuration feasible. Its sums
-/// are untouched, so resume accepts it and reaches a plausible wrong answer.
-fn forge_feasible_cert(text: &str) -> String {
+/// `text` (a naive checkpoint) with the exported certificate `F 0`, whose
+/// empty flow support claims every configuration feasible. With
+/// `keep_cuts` it joins the recorded cut certificates, which contradict it;
+/// otherwise it replaces them, nothing contradicts it, and with its sums
+/// untouched resume accepts it and reaches a plausible wrong answer.
+fn forge_feasible_cert(text: &str, keep_cuts: bool) -> String {
     let mut out = String::new();
+    let mut skip = 0;
     for line in text.lines() {
+        if skip > 0 {
+            skip -= 1;
+            continue;
+        }
         match line.strip_prefix("certs ") {
             Some(n) => {
                 let n: usize = n.parse().unwrap();
-                out.push_str(&format!("certs {}\nF 0\n", n + 1));
+                if keep_cuts {
+                    out.push_str(&format!("certs {}\nF 0\n", n + 1));
+                } else {
+                    out.push_str("certs 1\nF 0\n");
+                    skip = n;
+                }
             }
             None => {
                 out.push_str(line);
@@ -355,7 +367,8 @@ fn forge_feasible_cert(text: &str) -> String {
 /// An answer resumed from a client's checkpoint goes back to that client
 /// but never into the shared result cache: neither inline, nor after the
 /// run parks and a later `resume` finishes it. The next plain request is
-/// computed afresh and gets the exact answer.
+/// computed afresh and gets the exact answer. A forged certificate that
+/// contradicts the recorded ones is refused outright; a lone one is not.
 #[test]
 fn a_client_checkpoint_never_feeds_the_result_cache() {
     let (net, reference) = instance(3, 3, 1);
@@ -372,8 +385,20 @@ fn a_client_checkpoint_never_feeds_the_result_cache() {
             Response::Partial { checkpoint, .. } => checkpoint,
             other => panic!("expected Partial, got {other:?}"),
         };
+        let contradicted = ComputeRequest {
+            checkpoint: Some(forge_feasible_cert(&text, true)),
+            ..naive_compute(net.clone())
+        };
+        let mismatch = ReliabilityError::CheckpointMismatch {
+            reason: String::new(),
+        }
+        .code();
+        match client.compute(contradicted).unwrap() {
+            Response::Error(e) => assert_eq!(e.code, mismatch, "{e}"),
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
         let forged = ComputeRequest {
-            checkpoint: Some(forge_feasible_cert(&text)),
+            checkpoint: Some(forge_feasible_cert(&text, false)),
             max_configs: park_first.then_some(64),
             ..naive_compute(net.clone())
         };

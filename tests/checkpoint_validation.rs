@@ -6,12 +6,13 @@
 //! masses split the probability of the configurations swept so far over
 //! realization masks of live assignments. A checkpoint outside those
 //! bounds would otherwise resume to a "certified" answer outside `[0, 1]`,
-//! or to bounds that exclude the exact value; each case here must end in
-//! `CheckpointMismatch` instead.
+//! or to bounds that exclude the exact value. Certificates that contradict
+//! each other would answer some configurations both ways. Each case here
+//! must end in `CheckpointMismatch` instead.
 
 use flowrel::core::{
     Budget, CalcOptions, Checkpoint, CheckpointKind, FlowDemand, NaiveCheckpoint, Outcome,
-    PlanLeafState, ReliabilityCalculator, ReliabilityError, SideCheckpoint, Strategy,
+    PlanLeafState, ReliabilityCalculator, ReliabilityError, SideCheckpoint, SolveCert, Strategy,
 };
 use flowrel::netgraph::Network;
 use flowrel::workloads::generators::{self, BarbellParams};
@@ -143,4 +144,40 @@ fn side_mass_on_a_mask_outside_the_live_set_is_refused() {
         s.live = vec![0, 1];
         s.certs.truncate(2);
     });
+}
+
+/// The support `0` claims every configuration feasible; next to a cut that
+/// a solve witnessed it is a contradiction. Unchecked, the naive grid
+/// resumed to a "certified" 0.999762066062 (the truth is 0.926872735139).
+#[test]
+fn contradictory_certificates_are_refused() {
+    let forged = SolveCert::Feasible { support: 0 };
+    let is_cut = |c: &SolveCert| matches!(c, SolveCert::Infeasible { .. });
+    refuse_naive(|n| {
+        assert!(n.certs.iter().any(is_cut));
+        n.certs.push(forged);
+    });
+    refuse_side(|s| {
+        let lane = s.certs.iter_mut().find(|l| l.iter().any(is_cut));
+        lane.expect("some assignment holds a cut").push(forged);
+    });
+}
+
+/// No run writes more than 128 certificates for one lane, and a longer
+/// list is refused before its supports are tested against its cuts. Those
+/// tests grow with the square of the list: the 10^5 lines here, which do
+/// not contradict each other, would take 2.5·10^9 of them.
+#[test]
+fn certificate_lists_longer_than_any_run_writes_are_refused() {
+    let flood = |certs: &mut Vec<SolveCert>| {
+        for _ in 0..50_000 {
+            certs.push(SolveCert::Feasible { support: 0xffff });
+            certs.push(SolveCert::Infeasible {
+                crossing: 1,
+                needed: 1,
+            });
+        }
+    };
+    refuse_naive(|n| flood(&mut n.certs));
+    refuse_side(|s| flood(&mut s.certs[0]));
 }
