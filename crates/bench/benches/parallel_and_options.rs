@@ -26,15 +26,8 @@ fn bench(c: &mut Criterion) {
     group.bench_function("factoring", |b| {
         b.iter(|| reliability_factoring(&inst.net, d, &CalcOptions::default()).unwrap())
     });
-    let no_prune = CalcOptions {
-        prune_infeasible_assignments: false,
-        ..CalcOptions::default()
-    };
     group.bench_function("bottleneck_pruned", |b| {
         b.iter(|| reliability_bottleneck(&inst.net, d, &cut, &CalcOptions::default()).unwrap())
-    });
-    group.bench_function("bottleneck_unpruned", |b| {
-        b.iter(|| reliability_bottleneck(&inst.net, d, &cut, &no_prune).unwrap())
     });
 
     // perfect-link factoring: half the links never fail

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flowrel_bench::{barbell_with_edges, demand_of};
 use flowrel_core::{
-    decompose, enumerate_assignments, validate_bottleneck_set, RealizationSpectrum,
+    decompose, enumerate_assignments, validate_bottleneck_set, CalcOptions, RealizationSpectrum,
     RealizationTable, SideOracle,
 };
 use maxflow::SolverKind;
@@ -32,17 +32,22 @@ fn bench(c: &mut Criterion) {
         let assignments = enumerate_assignments(d.demand, &ranges);
         let weights = flowrel_core::edge_weights(&dec.side_s.net);
         let m = dec.side_s.net.edge_count();
+        // the table's sweep: serial, no certificates, cold solves
+        let cold = CalcOptions {
+            certificate_cache: false,
+            incremental: false,
+            ..CalcOptions::default()
+        };
 
         group.bench_with_input(BenchmarkId::new("table", m), &m, |b, _| {
             b.iter(|| {
                 let mut o = SideOracle::new(&dec.side_s, &assignments, SolverKind::Dinic).unwrap();
-                RealizationTable::build(&mut o, 30, 20, true).unwrap()
+                RealizationTable::build(&mut o, 30, 20).unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("spectrum", m), &m, |b, _| {
             b.iter(|| {
-                let mut o = SideOracle::new(&dec.side_s, &assignments, SolverKind::Dinic).unwrap();
-                RealizationSpectrum::<f64>::build(&mut o, &weights, 30, 20, true).unwrap()
+                RealizationSpectrum::sweep(&dec.side_s, &assignments, &weights, &cold).unwrap()
             })
         });
     }

@@ -23,9 +23,10 @@
 use std::time::Instant;
 
 use flowrel_bench::{barbell_with_edges, demand_of, ring_barbell, tight_barbell};
-use flowrel_core::algorithm::reliability_bottleneck_weighted;
-use flowrel_core::weight::edge_weights;
-use flowrel_core::{reliability_naive_with_stats, sweep_threads, CalcOptions, SweepStats};
+use flowrel_core::{
+    reliability_naive_with_stats, sweep_threads, CalcOptions, ReliabilityCalculator, Strategy,
+    SweepStats,
+};
 use workloads::generators::{degraded_barbell, BarbellParams};
 
 /// Naive enumeration is skipped above this many links (2^|E| solves).
@@ -210,7 +211,6 @@ fn main() {
         let edges = inst.net.edge_count();
         let name = format!("{family}_e{edges}_k{k}_d{demand}");
         eprintln!("== {name} ({edges} links, |cut|={k}, d={demand}) ==");
-        let weights = edge_weights(&inst.net);
 
         // --- naive path (skipped for the larger graphs: 2^|E| is the point
         // of the bottleneck algorithm) ---
@@ -239,19 +239,28 @@ fn main() {
             }
         }
 
-        // --- bottleneck path (skipped when the cut carries capacity
+        // --- bottleneck path: the one-level split on the generator's cut,
+        // as the calculator runs it (skipped when the cut carries capacity
         // spectra: the v1 planner keeps multi-state links out of cuts) ---
         let multistate = inst.net.has_multistate();
         let mut bn_rows = Vec::new();
         if !multistate {
             for (label, par, certs, incr) in MODES {
-                let o = opts(par, certs, incr);
+                let o = CalcOptions {
+                    max_depth: 0,
+                    reduce: false,
+                    ..opts(par, certs, incr)
+                };
                 let solver = o.solver.name();
+                let calc = ReliabilityCalculator::new()
+                    .with_strategy(Strategy::Bottleneck(cut.clone()))
+                    .with_options(o);
                 let (r, stats, secs) = time_median(smoke, || {
-                    let (r, report) =
-                        reliability_bottleneck_weighted(&inst.net, d, &cut, &weights, &o)
-                            .expect("bottleneck");
-                    (r, report.sweep)
+                    let rep = calc.run_complete(&inst.net, d).expect("bottleneck");
+                    (
+                        rep.reliability,
+                        rep.bottleneck.expect("a split report").sweep,
+                    )
                 });
                 eprintln!(
                     "  bottleneck {label:>21}: {secs:>9.4}s  R={r:.9}  solves={} avoided={} repairs={}",

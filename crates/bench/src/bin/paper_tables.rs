@@ -114,7 +114,7 @@ fn fig4_side_table() -> (RealizationTable, Vec<Assignment>) {
     let dec = decompose(&inst.net, &d, &set);
     let assignments = enumerate_assignments(2, &[(0i64, 2), (0, 2)]);
     let mut oracle = SideOracle::new(&dec.side_s, &assignments, SolverKind::Dinic).unwrap();
-    let table = RealizationTable::build(&mut oracle, 26, 20, false).unwrap();
+    let table = RealizationTable::build(&mut oracle, 26, 20).unwrap();
     (table, assignments)
 }
 

@@ -44,9 +44,7 @@
 //! runs use the same scheme: an interrupted estimation writes its checkpoint
 //! and exits `20`; invalid sampling parameters exit `24`.
 
-use std::io::{self, Write as _};
 use std::process::ExitCode;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use flowrel_core::fnet as format;
@@ -55,54 +53,9 @@ use flowrel_core::{
     reliability_naive_exact, Budget, CalcOptions, CancelToken, Checkpoint, DecompositionPlan,
     FlowDemand, Outcome, ReliabilityCalculator, ReliabilityError, Strategy,
 };
+use flowrel_shutdown::stdout::exit_status;
+use flowrel_shutdown::{out, outln};
 use netgraph::find_bridges;
-
-/// `println!` that never panics; see [`emit`].
-macro_rules! outln {
-    ($($arg:tt)*) => {
-        emit(format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
-
-/// `print!` that never panics; see [`emit`].
-macro_rules! out {
-    ($($arg:tt)*) => {
-        emit(format_args!($($arg)*))
-    };
-}
-
-/// The first error writing stdout, other than a closed pipe.
-static STDOUT_ERROR: OnceLock<io::Error> = OnceLock::new();
-
-/// Writes to stdout. Once stdout is closed (say, by `flowrel ... | head`),
-/// the rest of the report is dropped quietly and the process keeps the exit
-/// status the run would have had. Any other write error (a full disk, say)
-/// drops the rest too, and [`stdout_status`] reports it.
-fn emit(args: std::fmt::Arguments<'_>) {
-    if STDOUT_ERROR.get().is_none() {
-        if let Err(e) = io::stdout().write_fmt(args) {
-            note_stdout_error(e);
-        }
-    }
-}
-
-fn note_stdout_error(e: io::Error) {
-    if e.kind() != io::ErrorKind::BrokenPipe {
-        let _ = STDOUT_ERROR.set(e);
-    }
-}
-
-/// Flushes stdout; an I/O error (exit `3`) if a write to it failed other
-/// than on a closed pipe.
-fn stdout_status() -> Result<(), CliError> {
-    if let Err(e) = io::stdout().flush() {
-        note_stdout_error(e);
-    }
-    match STDOUT_ERROR.get() {
-        Some(e) => Err(CliError::io(format!("writing stdout: {e}"))),
-        None => Ok(()),
-    }
-}
 
 /// Exit status for a budget-limited run that produced bounds + checkpoint
 /// instead of an exact value.
@@ -763,17 +716,14 @@ fn main() -> ExitCode {
         ("dot", Some(path)) => cmd_dot(path, &rest[1..]),
         _ => return usage(),
     };
-    // a failed run keeps its own status; a report that could not be
-    // written fails an otherwise successful one
-    let written = stdout_status();
-    if let (Err(_), Err(e)) = (&result, &written) {
-        eprintln!("error: {}", e.message);
-    }
-    match result.and(written) {
-        Ok(()) => ExitCode::SUCCESS,
+    let code = match result {
+        Ok(()) => 0,
         Err(e) => {
             eprintln!("error: {}", e.message);
-            ExitCode::from(e.code)
+            e.code
         }
-    }
+    };
+    // a failed run keeps its own status; a report that could not be
+    // written fails an otherwise successful one
+    ExitCode::from(exit_status("error", code))
 }

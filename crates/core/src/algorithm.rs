@@ -1,4 +1,4 @@
-//! The end-to-end bottleneck algorithm (Sections III–IV).
+//! The end-to-end bottleneck algorithm (Sections III–IV) on one given cut.
 //!
 //! Pipeline: validate/decompose along the bottleneck set → enumerate the
 //! assignment set `D` → build both side spectra (`|D| · 2^{|E_c|}` max-flow
@@ -6,25 +6,24 @@
 //! inclusion–exclusion. Total `O(2^{α|E|} · |V||E|)` for constant `d`, `k` —
 //! the paper's headline bound.
 //!
-//! The engine here is unbudgeted and generic over the weight domain: it is
-//! the `f64` and [`BigRational`] reference the tests compare against.
-//! Budgeted, checkpointed runs execute the same split as a `Cut` slot of
-//! the plan interpreter ([`crate::plan`]).
+//! Both entry points run the one split body in [`crate::spectrum`]:
+//! [`reliability_bottleneck`] as the `Cut` slot of a depth-0 plan
+//! ([`crate::plan`]) under an unlimited budget, and
+//! [`reliability_bottleneck_exact`] in [`BigRational`], so the exact value
+//! checks the code the planner, the calculator and the server run.
 
 use exactmath::BigRational;
 use netgraph::{EdgeId, Network};
 
-use crate::accumulate::combine;
-use crate::assign::{crossing_ranges, enumerate_assignments, supported_assignment_masks};
 use crate::bottleneck::{validate_bottleneck_set, BottleneckSet};
-use crate::decompose::{decompose, Side};
+use crate::budget::Budget;
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::CalcOptions;
-use crate::oracle::SideOracle;
-use crate::spectrum::RealizationSpectrum;
-use crate::sweep::{SweepConfig, SweepStats};
-use crate::weight::{edge_weights, edge_weights_exact, EdgeWeights, Weight};
+use crate::plan::{DecompositionPlan, PlanOutcome};
+use crate::spectrum::split_value;
+use crate::sweep::SweepStats;
+use crate::weight::edge_weights_exact;
 
 /// What the bottleneck algorithm did, for reporting and experiments.
 #[derive(Clone, Debug)]
@@ -38,8 +37,8 @@ pub struct BottleneckReport {
     /// Sweep-engine counters, merged over both side spectra (configurations
     /// tested, solver calls, certificate hits).
     pub sweep: SweepStats,
-    /// Per-leaf-slot planner accounting (empty for one-level runs): how the
-    /// plan interpreter apportioned the budget and what each sweep actually
+    /// Per-leaf-slot planner accounting, in DFS slot order: how the plan
+    /// interpreter apportioned the budget and what each sweep actually
     /// cost. See [`PlanSlotReport`].
     pub plan_slots: Vec<PlanSlotReport>,
 }
@@ -67,154 +66,82 @@ pub struct PlanSlotReport {
     pub explored: f64,
 }
 
-/// Projects parent-network weights onto a side's own edge numbering.
-fn side_weights<W: Weight>(side: &Side, parent: &EdgeWeights<W>) -> EdgeWeights<W> {
-    side.edge_origin
-        .iter()
-        .map(|&e| parent[e.index()].clone())
-        .collect()
-}
-
-/// Generic bottleneck reliability over any weight domain.
-pub fn reliability_bottleneck_weighted<W: Weight>(
+/// Validates the demand and the cut, and refuses multi-state networks:
+/// side spectra are binary up/down sweeps.
+fn one_level_set(
     net: &Network,
     demand: FlowDemand,
     cut: &[EdgeId],
-    weights: &EdgeWeights<W>,
-    opts: &CalcOptions,
-) -> Result<(W, BottleneckReport), ReliabilityError> {
+) -> Result<BottleneckSet, ReliabilityError> {
     demand.validate(net)?;
     let set = validate_bottleneck_set(net, demand.source, demand.sink, cut)?;
-    reliability_bottleneck_on_set(net, demand, &set, weights, opts)
-}
-
-/// As [`reliability_bottleneck_weighted`], with a pre-validated set.
-pub fn reliability_bottleneck_on_set<W: Weight>(
-    net: &Network,
-    demand: FlowDemand,
-    set: &BottleneckSet,
-    weights: &EdgeWeights<W>,
-    opts: &CalcOptions,
-) -> Result<(W, BottleneckReport), ReliabilityError> {
     if net.has_multistate() {
         return Err(ReliabilityError::MultiState {
             operation: "the one-level bottleneck decomposition",
         });
     }
-    let report = |count: usize, sweep: SweepStats| BottleneckReport {
-        set: set.clone(),
-        assignment_count: count,
-        alpha: set.alpha(net.edge_count()),
-        sweep,
-        plan_slots: Vec::new(),
-    };
-    if demand.demand == 0 {
-        return Ok((W::one(), report(0, SweepStats::default())));
-    }
-    // assignment set D (Section III-B)
-    let ranges = crossing_ranges(
-        net,
-        &set.edges,
-        &set.forward_oriented,
-        demand.demand,
-        opts.assignment_model,
-    );
-    let assignments = enumerate_assignments(demand.demand, &ranges);
-    if assignments.is_empty() {
-        // the bottleneck cannot carry d at all: reliability is trivially zero
-        return Ok((W::zero(), report(0, SweepStats::default())));
-    }
-    if assignments.len() > opts.max_assignments || assignments.len() > 31 {
-        return Err(ReliabilityError::TooManyAssignments {
-            count: assignments.len(),
-            max: opts.max_assignments.min(31),
-        });
-    }
-
-    let dec = decompose(net, &demand, set);
-    let k = dec.cut.len();
-
-    // side spectra (Section III-C, streamed through the sweep engine)
-    let w_s = side_weights(&dec.side_s, weights);
-    let w_t = side_weights(&dec.side_t, weights);
-    let mut oracle_s = SideOracle::new(&dec.side_s, &assignments, opts.solver)?;
-    let mut oracle_t = SideOracle::new(&dec.side_t, &assignments, opts.solver)?;
-    let cfg = SweepConfig::from_opts(opts);
-    let build_s = |o: &mut SideOracle| {
-        RealizationSpectrum::build_with(
-            o,
-            &w_s,
-            opts.max_side_edges,
-            opts.max_assignments,
-            opts.prune_infeasible_assignments,
-            &cfg,
-        )
-    };
-    let build_t = |o: &mut SideOracle| {
-        RealizationSpectrum::build_with(
-            o,
-            &w_t,
-            opts.max_side_edges,
-            opts.max_assignments,
-            opts.prune_infeasible_assignments,
-            &cfg,
-        )
-    };
-    let (res_s, res_t) = if opts.parallel {
-        // the two sides are independent subproblems: build them concurrently
-        rayon::join(|| build_s(&mut oracle_s), || build_t(&mut oracle_t))
-    } else {
-        (build_s(&mut oracle_s), build_t(&mut oracle_t))
-    };
-    let (spec_s, stats_s) = res_s?;
-    let (spec_t, stats_t) = res_t?;
-    let mut sweep = stats_s;
-    sweep.merge(&stats_t);
-
-    // accumulation (Section IV)
-    let support = supported_assignment_masks(&assignments, k);
-    let cut_weights: Vec<(W, W)> = dec
-        .cut
-        .iter()
-        .map(|&e| weights[e.index()].clone())
-        .collect();
-    let r = combine(
-        &cut_weights,
-        &support,
-        &spec_s.mass,
-        &spec_t.mass,
-        assignments.len(),
-        opts.accumulation,
-    );
-    Ok((r, report(assignments.len(), sweep)))
+    Ok(set)
 }
 
-/// Bottleneck reliability in `f64`.
+/// Bottleneck reliability in `f64`: the depth-0 plan on `cut`, one `Cut`
+/// slot, run to completion whatever `opts.budget` says.
 pub fn reliability_bottleneck(
     net: &Network,
     demand: FlowDemand,
     cut: &[EdgeId],
     opts: &CalcOptions,
 ) -> Result<f64, ReliabilityError> {
-    reliability_bottleneck_weighted(net, demand, cut, &edge_weights(net), opts).map(|(r, _)| r)
+    let set = one_level_set(net, demand, cut)?;
+    let flat = CalcOptions {
+        max_depth: 0,
+        budget: Budget::unlimited(),
+        ..opts.clone()
+    };
+    let plan = DecompositionPlan::plan_on_set(net, demand, &set, &flat, set.k())?;
+    match plan.execute(&flat, None)? {
+        PlanOutcome::Complete { reliability, .. } => Ok(reliability),
+        PlanOutcome::Partial { .. } => unreachable!("an unlimited budget always completes"),
+    }
 }
 
-/// Bottleneck reliability with exact rational arithmetic.
+/// Bottleneck reliability with exact rational arithmetic: the same split
+/// body as the `Cut` slot, swept and combined in [`BigRational`].
 pub fn reliability_bottleneck_exact(
     net: &Network,
     demand: FlowDemand,
     cut: &[EdgeId],
     opts: &CalcOptions,
 ) -> Result<BigRational, ReliabilityError> {
-    reliability_bottleneck_weighted(net, demand, cut, &edge_weights_exact(net), opts)
-        .map(|(r, _)| r)
+    let set = one_level_set(net, demand, cut)?;
+    split_value(net, demand, &set, edge_weights_exact, opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calculator::{ReliabilityCalculator, Strategy};
     use crate::naive::{reliability_naive, reliability_naive_exact};
     use netgraph::{GraphKind, NetworkBuilder, NodeId};
+
+    /// The one-level split as the calculator runs it on an explicit cut:
+    /// the depth-0 plan on the instance as given, with its report.
+    fn flat_run(
+        net: &Network,
+        d: FlowDemand,
+        cut: &[EdgeId],
+        opts: &CalcOptions,
+    ) -> (f64, BottleneckReport) {
+        let rep = ReliabilityCalculator::new()
+            .with_strategy(Strategy::Bottleneck(cut.to_vec()))
+            .with_options(CalcOptions {
+                max_depth: 0,
+                reduce: false,
+                ..opts.clone()
+            })
+            .run_complete(net, d)
+            .unwrap();
+        (rep.reliability, rep.bottleneck.unwrap())
+    }
 
     /// Bridge graph: triangle — bridge — triangle.
     fn bridge_net() -> (Network, FlowDemand, Vec<EdgeId>) {
@@ -290,16 +217,47 @@ mod tests {
         let (net, _, cut) = two_cut_net();
         // total cut capacity is 3 < 4
         let d = FlowDemand::new(NodeId(0), NodeId(5), 4);
-        let (r, report) = reliability_bottleneck_weighted(
-            &net,
-            d,
-            &cut,
-            &edge_weights(&net),
-            &CalcOptions::default(),
-        )
-        .unwrap();
+        let opts = CalcOptions::default();
+        let (r, report) = flat_run(&net, d, &cut, &opts);
         assert_eq!(r, 0.0);
         assert_eq!(report.assignment_count, 0);
+        assert_eq!(reliability_bottleneck(&net, d, &cut, &opts).unwrap(), 0.0);
+        let exact = reliability_bottleneck_exact(&net, d, &cut, &opts).unwrap();
+        assert!(exact.is_zero());
+    }
+
+    #[test]
+    fn refusals_are_typed_in_both_weight_domains() {
+        let (net, d, cut) = two_cut_net();
+        let one = CalcOptions {
+            max_assignments: 1,
+            ..CalcOptions::default()
+        };
+        assert!(matches!(
+            reliability_bottleneck(&net, d, &cut, &one),
+            Err(ReliabilityError::TooManyAssignments { count: 2, max: 1 })
+        ));
+        assert!(matches!(
+            reliability_bottleneck_exact(&net, d, &cut, &one),
+            Err(ReliabilityError::TooManyAssignments { count: 2, max: 1 })
+        ));
+        // 27 parallel links on the source side, then a bridge
+        let mut b = NetworkBuilder::new(GraphKind::Directed);
+        let n = b.add_nodes(3);
+        for _ in 0..27 {
+            b.add_edge(n[0], n[1], 1, 0.1).unwrap();
+        }
+        let bridge = b.add_edge(n[1], n[2], 1, 0.1).unwrap();
+        let (wide, d) = (b.build(), FlowDemand::new(n[0], n[2], 1));
+        let opts = CalcOptions::default();
+        assert!(matches!(
+            reliability_bottleneck(&wide, d, &[bridge], &opts),
+            Err(ReliabilityError::SideTooLarge { count: 27, max: 26 })
+        ));
+        assert!(matches!(
+            reliability_bottleneck_exact(&wide, d, &[bridge], &opts),
+            Err(ReliabilityError::SideTooLarge { count: 27, max: 26 })
+        ));
     }
 
     #[test]
@@ -308,19 +266,14 @@ mod tests {
         let d = FlowDemand::new(NodeId(0), NodeId(5), 0);
         let r = reliability_bottleneck(&net, d, &cut, &CalcOptions::default()).unwrap();
         assert_eq!(r, 1.0);
+        let exact = reliability_bottleneck_exact(&net, d, &cut, &CalcOptions::default()).unwrap();
+        assert_eq!(exact, BigRational::one());
     }
 
     #[test]
     fn report_carries_geometry() {
         let (net, d, cut) = two_cut_net();
-        let (_, report) = reliability_bottleneck_weighted(
-            &net,
-            d,
-            &cut,
-            &edge_weights(&net),
-            &CalcOptions::default(),
-        )
-        .unwrap();
+        let (_, report) = flat_run(&net, d, &cut, &CalcOptions::default());
         assert_eq!(report.set.k(), 2);
         assert_eq!(
             report.assignment_count, 2,
@@ -332,16 +285,20 @@ mod tests {
     #[test]
     fn sweep_variants_agree_and_report_stats() {
         let (net, d, cut) = two_cut_net();
-        let w = edge_weights(&net);
         let plain = CalcOptions {
             certificate_cache: false,
             ..Default::default()
         };
-        let (r0, rep0) = reliability_bottleneck_weighted(&net, d, &cut, &w, &plain).unwrap();
-        let (r1, rep1) =
-            reliability_bottleneck_weighted(&net, d, &cut, &w, &CalcOptions::default()).unwrap();
-        let (r2, _) =
-            reliability_bottleneck_weighted(&net, d, &cut, &w, &CalcOptions::parallel()).unwrap();
+        let (r0, rep0) = flat_run(&net, d, &cut, &plain);
+        let (r1, rep1) = flat_run(&net, d, &cut, &CalcOptions::default());
+        let (r2, _) = flat_run(&net, d, &cut, &CalcOptions::parallel());
+        assert_eq!(
+            r1.to_bits(),
+            reliability_bottleneck(&net, d, &cut, &CalcOptions::default())
+                .unwrap()
+                .to_bits(),
+            "the entry point is the calculator's flat split"
+        );
         assert_eq!(r0, r1, "serial cert-cached run must be bit-identical");
         assert!((r0 - r2).abs() < 1e-12);
         assert_eq!(rep0.sweep.solver_calls_avoided(), 0);
@@ -371,7 +328,7 @@ mod tests {
         assert!(matches!(plan.root_node(), PlanNode::Cut(_)));
         assert_eq!(plan.leaf_count(), 1);
 
-        // unlimited budget: the Cut slot must equal the one-level engine
+        // unlimited budget: the Cut slot must equal the entry point
         match plan.execute(&flat(None), None).unwrap() {
             PlanOutcome::Complete { reliability, .. } => assert_eq!(
                 reliability.to_bits(),

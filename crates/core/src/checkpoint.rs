@@ -61,16 +61,20 @@ pub struct NaiveCheckpoint {
     pub certs: Vec<SolveCert>,
 }
 
-/// Checkpoint of one side of an interrupted bottleneck decomposition sweep.
+/// The state of one side sweep of a bottleneck decomposition, and its
+/// checkpoint when the sweep was interrupted. The masses are `f64` in every
+/// checkpoint; the exact engine sweeps the same state in
+/// [`exactmath::BigRational`].
 #[derive(Clone, Debug, PartialEq)]
-pub struct SideCheckpoint {
+pub struct SideCheckpoint<W = f64> {
     /// Enumeration cursor over the side's configurations.
     pub cursor: SweepCursor,
-    /// Live (prunable-feasible) assignment indices this side realizes.
+    /// Indices of the assignments the side realizes with every link alive:
+    /// the only ones the sweep tests.
     pub live: Vec<usize>,
     /// Partial realization-spectrum mass per assignment mask (sums to the
     /// explored probability, not to 1).
-    pub mass: Vec<f64>,
+    pub mass: Vec<W>,
     /// Advisory certificate warm-start, one list per live assignment.
     pub certs: Vec<Vec<SolveCert>>,
 }

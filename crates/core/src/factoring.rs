@@ -27,7 +27,7 @@ use crate::budget::BudgetSentinel;
 use crate::checkpoint::FactoringCheckpoint;
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
-use crate::options::CalcOptions;
+use crate::options::{CalcOptions, MAX_FACTORING_EDGES};
 use crate::oracle::DemandOracle;
 use crate::preprocess::relevance_reduce;
 use crate::weight::edge_weights;
@@ -158,10 +158,10 @@ fn factoring_on(
     }
     // factoring prunes aggressively, so allow somewhat more than naive, but
     // still refuse hopeless instances
-    if m > opts.max_enum_edges.max(40) {
+    if m > MAX_FACTORING_EDGES {
         return Err(ReliabilityError::TooManyEdges {
             count: m,
-            max: opts.max_enum_edges.max(40),
+            max: MAX_FACTORING_EDGES,
         });
     }
     if demand.demand == 0 {

@@ -13,25 +13,29 @@
 //!
 //! * [`naive::reliability_naive`] — enumerate all `2^|E|` failure
 //!   configurations (the paper's baseline, Fig. 1);
-//! * [`algorithm::reliability_bottleneck`] — the paper's main contribution:
-//!   decomposition along a set of α-bottleneck links, per-side realization
-//!   arrays (Section III-C), and inclusion–exclusion accumulation over
-//!   supported assignments (Section IV); budgeted and checkpointed runs
-//!   execute the same split through the plan interpreter ([`plan`]). The
-//!   bridge split of Fig. 2 / Eq. 1 is its `k = 1` case: the planner runs it
-//!   as a [`PlanNode::Bridge`], and [`Strategy::BottleneckAuto`] with
-//!   `max_k: 1` selects it;
+//! * the paper's main contribution, the bottleneck split: decomposition
+//!   along a set of α-bottleneck links, per-side realization arrays
+//!   (Section III-C), and inclusion–exclusion accumulation over supported
+//!   assignments (Section IV). One body runs it ([`spectrum`]), and the
+//!   plan interpreter ([`plan`]) runs that body at every split, budgeted
+//!   and checkpointed. [`algorithm::reliability_bottleneck`] is the split on
+//!   one given cut: a depth-0 plan. Recursive plans split the sides again;
+//!   the bridge split of Fig. 2 / Eq. 1 is the `k = 1` case, which the
+//!   planner runs as a [`PlanNode::Bridge`] and [`Strategy::BottleneckAuto`]
+//!   with `max_k: 1` selects;
 //! * [`factoring::reliability_factoring`] — classic conditioning with
 //!   flow-based pruning, an additional exact comparator;
 //! * [`calculator::ReliabilityCalculator`] — picks a strategy automatically
 //!   and reports what it did.
 //!
-//! The naive sweep and the one-level bottleneck split exist in `f64` (with
-//! compensated summation) and exact [`exactmath::BigRational`] forms; the
-//! generic code is shared through the [`weight::Weight`] abstraction, so the
-//! exact form validates the float form down to the last operation. Factoring
-//! and the plan interpreter are `f64` only; tests validate them against the
-//! exact naive sweep.
+//! The naive sweep and the split body are generic over the
+//! [`weight::Weight`] abstraction and run in `f64` (with compensated
+//! summation in the naive sweep) and in exact [`exactmath::BigRational`]
+//! ([`naive::reliability_naive_exact`],
+//! [`algorithm::reliability_bottleneck_exact`]), so the exact form validates
+//! the float form down to the last operation. The plan interpreter's own
+//! combinators (bridges, peels, interval combination) and factoring are
+//! `f64` only; tests validate them against the exact naive sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,7 +18,7 @@ use crate::budget::BudgetSentinel;
 use crate::checkpoint::{check_certs, NaiveCheckpoint, SweepCursor, SLACK};
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
-use crate::options::CalcOptions;
+use crate::options::{CalcOptions, MAX_ENUM_EDGES};
 use crate::oracle::DemandOracle;
 use crate::preprocess::relevance_reduce;
 use crate::sweep::{
@@ -56,10 +56,10 @@ fn check_bounds(
         });
     }
     let (fallible, pinned) = enumeration_split(net, opts);
-    if fallible.len() > opts.max_enum_edges {
+    if fallible.len() > MAX_ENUM_EDGES {
         return Err(ReliabilityError::TooManyEdges {
             count: fallible.len(),
-            max: opts.max_enum_edges,
+            max: MAX_ENUM_EDGES,
         });
     }
     Ok((fallible, pinned))
@@ -69,7 +69,7 @@ fn check_bounds(
 ///
 /// Links on no s→t path are deleted first (exact for every demand — see
 /// [`crate::preprocess`]), so only the relevant links enter the `2^|E|`
-/// exponent and the `max_enum_edges` bound.
+/// exponent and the [`MAX_ENUM_EDGES`] bound.
 pub fn reliability_naive(
     net: &Network,
     demand: FlowDemand,
@@ -296,10 +296,10 @@ fn mixed_setup(
         }
         other => other.into(),
     })?;
-    if x.digits.len() > opts.max_enum_edges {
+    if x.digits.len() > MAX_ENUM_EDGES {
         return Err(ReliabilityError::TooManyEdges {
             count: x.digits.len(),
-            max: opts.max_enum_edges,
+            max: MAX_ENUM_EDGES,
         });
     }
     let geom = MixedGeometry::from_expansion(&x)
@@ -553,19 +553,15 @@ mod tests {
     fn too_many_edges_is_rejected() {
         let mut b = NetworkBuilder::new(GraphKind::Directed);
         let n = b.add_nodes(2);
-        for _ in 0..12 {
+        for _ in 0..31 {
             b.add_edge(n[0], n[1], 1, 0.1).unwrap();
         }
         let net = b.build();
-        let opts = CalcOptions {
-            max_enum_edges: 10,
-            ..Default::default()
-        };
-        let err =
-            reliability_naive(&net, FlowDemand::new(NodeId(0), NodeId(1), 1), &opts).unwrap_err();
+        let d = FlowDemand::new(NodeId(0), NodeId(1), 1);
+        let err = reliability_naive(&net, d, &CalcOptions::default()).unwrap_err();
         assert!(matches!(
             err,
-            ReliabilityError::TooManyEdges { count: 12, max: 10 }
+            ReliabilityError::TooManyEdges { count: 31, max: 30 }
         ));
     }
 

@@ -7,20 +7,37 @@ use crate::accumulate::AccumulationMethod;
 use crate::assign::AssignmentModel;
 use crate::budget::Budget;
 
+/// Exhaustive enumerations (the naive sweep, its plan leaves and the
+/// reliability polynomial) refuse more than this many fallible links with
+/// [`ReliabilityError::TooManyEdges`](crate::ReliabilityError::TooManyEdges).
+pub const MAX_ENUM_EDGES: usize = 30;
+
+/// Bottleneck side sweeps refuse sides with more than this many links with
+/// [`ReliabilityError::SideTooLarge`](crate::ReliabilityError::SideTooLarge).
+pub const MAX_SIDE_EDGES: usize = 26;
+
+/// Factoring refuses networks with more than this many links with
+/// [`ReliabilityError::TooManyEdges`](crate::ReliabilityError::TooManyEdges):
+/// its flow-based pruning lets it reach past [`MAX_ENUM_EDGES`].
+pub const MAX_FACTORING_EDGES: usize = 40;
+
 /// Options shared by the reliability algorithms.
+///
+/// The enumeration bounds are constants ([`MAX_ENUM_EDGES`],
+/// [`MAX_SIDE_EDGES`], [`MAX_FACTORING_EDGES`]); side sweeps always skip the
+/// assignments a side cannot realize with every link alive (exact, by
+/// monotonicity of flow in link availability).
 #[derive(Clone, Debug)]
 pub struct CalcOptions {
     /// Max-flow solver used for all feasibility oracles.
     pub solver: SolverKind,
-    /// Refuse exhaustive enumeration over more than this many fallible links.
-    pub max_enum_edges: usize,
-    /// Refuse bottleneck sides with more than this many links.
-    pub max_side_edges: usize,
-    /// Refuse assignment sets larger than this (masks are `u32`-backed, so
-    /// the hard ceiling is 31; the default is lower because the accumulation
-    /// cost grows with `2^|D|`).
+    /// Refuse bottleneck splits with more assignments than this, with
+    /// [`ReliabilityError::TooManyAssignments`](crate::ReliabilityError::TooManyAssignments)
+    /// (masks are `u32`-backed, so the hard ceiling is 31; the default is
+    /// lower because the accumulation cost grows with `2^|D|`).
     pub max_assignments: usize,
-    /// Parallelize configuration enumeration with rayon.
+    /// Parallelize configuration enumeration with rayon, and sweep the two
+    /// sides of a split concurrently.
     pub parallel: bool,
     /// Accumulation variant (Section IV); all three produce the same value.
     pub accumulation: AccumulationMethod,
@@ -31,9 +48,6 @@ pub struct CalcOptions {
     /// is "diagonal" (see `tests/model_gap.rs`). Use
     /// [`CalcOptions::paper_faithful`] for the paper's model.
     pub assignment_model: AssignmentModel,
-    /// Skip per-assignment work when the assignment is infeasible even with
-    /// every side link alive (a cheap, exact pruning).
-    pub prune_infeasible_assignments: bool,
     /// Treat links with `p(e) = 0` as always alive instead of enumerating
     /// them (exact; factors `2^{#perfect}` out of the naive sweep).
     pub factor_perfect_links: bool,
@@ -60,19 +74,20 @@ pub struct CalcOptions {
     /// checkpoint instead of running to completion (see [`crate::budget`]).
     pub budget: Budget,
     /// Maximum recursion depth of the decomposition planner
-    /// ([`crate::plan`]): how many nested `Bridge` splits the planner may
-    /// stack before it stops looking for structure and emits a leaf. `0`
-    /// disables recursive decomposition entirely (every strategy degenerates
-    /// to its one-level PR-1 behavior). Depth is consumed only by recursive
-    /// splits, so the default comfortably covers any chain the enumeration
-    /// bounds could accept.
+    /// ([`crate::plan`]): how many nested splits the planner may stack
+    /// before it stops looking for structure and emits a leaf. `0` disables
+    /// recursive decomposition entirely: a bottleneck strategy runs the one
+    /// split on its root cut as a single `Cut` slot, which is what
+    /// [`reliability_bottleneck`](crate::reliability_bottleneck) runs. Depth
+    /// is consumed only by recursive splits, so the default comfortably
+    /// covers any chain the enumeration bounds could accept.
     pub max_depth: usize,
     /// Let the planner re-enter itself on the sides of multi-assignment
     /// `Cut` nodes (not only single-assignment bridges): a side is *peeled*
     /// at an internal cut that separates its terminal from every attach
     /// point with a unique assignment, factoring the side spectrum into a
     /// scalar subtree times a smaller side. Off, every multi-assignment cut
-    /// is swept whole (the PR 5 planner).
+    /// is swept whole.
     pub recursive_cut_sides: bool,
     /// Hybrid exact/statistical plan execution: allow the plan interpreter
     /// to place a Monte-Carlo estimator at a scalar leaf (naive or flat cut)
@@ -105,13 +120,10 @@ impl Default for CalcOptions {
     fn default() -> Self {
         CalcOptions {
             solver: SolverKind::Dinic,
-            max_enum_edges: 30,
-            max_side_edges: 26,
             max_assignments: 20,
             parallel: false,
             accumulation: AccumulationMethod::Complement,
             assignment_model: AssignmentModel::Net,
-            prune_infeasible_assignments: true,
             factor_perfect_links: true,
             certificate_cache: true,
             incremental: true,
@@ -139,13 +151,13 @@ impl CalcOptions {
     }
 
     /// Paper-faithful options: BFS Ford–Fulkerson oracle, direct
-    /// inclusion–exclusion, forward-only assignments, no pruning shortcuts.
+    /// inclusion–exclusion, forward-only assignments, every link enumerated,
+    /// every configuration solved.
     pub fn paper_faithful() -> Self {
         CalcOptions {
             solver: SolverKind::BfsFordFulkerson,
             accumulation: AccumulationMethod::PaperDirect,
             assignment_model: AssignmentModel::ForwardOnly,
-            prune_infeasible_assignments: false,
             factor_perfect_links: false,
             parallel: false,
             certificate_cache: false,
@@ -163,7 +175,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let o = CalcOptions::default();
-        assert!(o.max_enum_edges <= 32);
         assert!(o.max_assignments <= 31, "assignment masks are u32");
         assert!(!o.parallel);
         assert_eq!(

@@ -88,24 +88,21 @@ use netgraph::{EdgeId, EdgeMask, GraphKind, Network, NodeId};
 
 use crate::accumulate::{combine, combine_interval, AccumulationMethod};
 use crate::algorithm::{BottleneckReport, PlanSlotReport};
-use crate::assign::{
-    crossing_ranges, enumerate_assignments, supported_assignment_masks, Assignment, AssignmentModel,
-};
+use crate::assign::{crossing_ranges, enumerate_assignments, Assignment, AssignmentModel};
 use crate::bottleneck::{find_all_bottleneck_sets, find_bottleneck_set, BottleneckSet};
 use crate::budget::BudgetSentinel;
-use crate::checkpoint::{
-    check_certs, Fnv1a, PlanCheckpoint, PlanLeafState, SideCheckpoint, SweepCursor, SLACK,
-};
+use crate::checkpoint::{check_certs, Fnv1a, PlanCheckpoint, PlanLeafState, SideCheckpoint, SLACK};
 use crate::decompose::{decompose, Side};
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::naive::{reliability_naive_anytime_on, NaiveOutcome};
-use crate::options::CalcOptions;
-use crate::oracle::{DemandOracle, SideOracle};
+use crate::options::{CalcOptions, MAX_ENUM_EDGES, MAX_SIDE_EDGES};
+use crate::oracle::DemandOracle;
 use crate::preprocess::relevance_reduce;
 use crate::reduce::{reduce, ReduceStats};
+use crate::spectrum::{check_assignments, check_side_edges, sweep_side, Split};
 use crate::spreduce::{reduce_unit_demand, ReductionStats};
-use crate::sweep::{drive, CountWalk, Masses, PartialSweep, SweepConfig, SweepStats};
+use crate::sweep::SweepStats;
 use crate::weight::edge_weights;
 use montecarlo::{McCheckpoint, McOutcome, McReport, McSettings};
 
@@ -1033,11 +1030,11 @@ fn resolve_leaf_mc(
     s
 }
 
-/// Executes a flat `Cut` slot: both sides are swept whole against the
-/// cut's assignment set — serially in s-then-t order, or under
-/// `rayon::join` — drawing from the slot's one sentinel, and combined like
-/// a `DeepCut`'s sides. The slot's state is `Done` once both sweeps finish,
-/// otherwise the two side cursors (`leaf cut`).
+/// Executes a flat `Cut` slot: the split's two sides are swept whole
+/// against the cut's assignment set ([`Split::sweep`]), drawing from the
+/// slot's one sentinel, and combined like a `DeepCut`'s sides. The slot's
+/// state is `Done` once both sweeps finish, otherwise the two side cursors
+/// (`leaf cut`).
 fn exec_cut(
     cut: &CutNode,
     ctx: &ExecCtx<'_>,
@@ -1045,38 +1042,20 @@ fn exec_cut(
     resume: Option<(&SideCheckpoint, &SideCheckpoint)>,
 ) -> Result<SubtreeOut, ReliabilityError> {
     let opts = ctx.opts;
-    let ranges = crossing_ranges(
-        &cut.net,
-        &cut.set.edges,
-        &cut.set.forward_oriented,
-        cut.demand.demand,
-        opts.assignment_model,
-    );
-    let assignments = enumerate_assignments(cut.demand.demand, &ranges);
-    let dec = decompose(&cut.net, &cut.demand, &cut.set);
-    let sweep = |side: &Side, ck: Option<&SideCheckpoint>, which: &str| {
-        sweep_side(side, &assignments, opts, sentinel, ck, which)
+    let split = Split::new(&cut.net, &cut.demand, &cut.set, edge_weights, opts)?;
+    let dn = split.assignments.len();
+    let start = match resume {
+        Some((s, t)) => (
+            Some(side_resume(s, &split.dec.side_s, dn, "source-side")?),
+            Some(side_resume(t, &split.dec.side_t, dn, "sink-side")?),
+        ),
+        None => (None, None),
     };
-    let (s, t) = if opts.parallel {
-        rayon::join(
-            || sweep(&dec.side_s, resume.map(|r| r.0), "source-side"),
-            || sweep(&dec.side_t, resume.map(|r| r.1), "sink-side"),
-        )
-    } else {
-        (
-            sweep(&dec.side_s, resume.map(|r| r.0), "source-side"),
-            sweep(&dec.side_t, resume.map(|r| r.1), "sink-side"),
-        )
-    };
-    let ((s, mut stats), (t, stats_t)) = (s?, t?);
-    stats.merge(&stats_t);
-    let weights = edge_weights(&cut.net);
-    let cut_weights: Vec<(f64, f64)> = dec.cut.iter().map(|&e| weights[e.index()]).collect();
-    let support = supported_assignment_masks(&assignments, dec.cut.len());
+    let (s, t, stats) = split.sweep(opts, sentinel, start)?;
     let eval = combine_sides(
-        &cut_weights,
-        &support,
-        assignments.len(),
+        &split.cut_weights,
+        &split.support,
+        dn,
         opts.accumulation,
         (&s.mass, &s.live),
         (&t.mass, &t.live),
@@ -1246,22 +1225,24 @@ fn exec_sweep(
     ctx: &ExecCtx<'_>,
     sentinel: &BudgetSentinel,
 ) -> Result<SideOut, ReliabilityError> {
+    let dn = dc.assignments.len();
     let resume = match ctx.leaf_state(sw.index) {
         None | Some(PlanLeafState::Fresh) => None,
-        Some(PlanLeafState::Side(ck)) => Some(&**ck),
+        Some(PlanLeafState::Side(ck)) => Some(side_resume(ck, &sw.side, dn, "side-sweep")?),
         Some(_) => {
             return Err(mismatch(
                 "checkpoint stores a foreign state for a sweep leaf",
             ))
         }
     };
+    let weights = edge_weights(&sw.side.net);
     let (ck, stats) = sweep_side(
         &sw.side,
         &dc.assignments,
+        &weights,
         ctx.opts,
         sentinel,
         resume,
-        "side-sweep",
     )?;
     // Even a completed sweep stays a `Side` state (with nothing remaining):
     // the parent cut needs the mass vector, not a scalar, so `Done` never
@@ -1278,63 +1259,21 @@ fn exec_sweep(
     })
 }
 
-/// Sweeps one side's realization spectrum against the cut's assignments
-/// under `sentinel`, fresh or from its resume state, and returns the side's
-/// state after the sweep (complete once no cursor range remains).
-fn sweep_side(
-    side: &Side,
-    assignments: &[Assignment],
-    opts: &CalcOptions,
-    sentinel: &BudgetSentinel,
-    resume: Option<&SideCheckpoint>,
-    which: &str,
-) -> Result<(SideCheckpoint, SweepStats), ReliabilityError> {
-    let dn = assignments.len();
-    let mut oracle = SideOracle::new(side, assignments, opts.solver)?;
-    let m = oracle.edge_count();
-    let weights = edge_weights(&side.net);
-    let walk = CountWalk::new(&weights);
-    let (live, state) = match resume {
-        None => {
-            let live: Vec<usize> = (0..dn)
-                .filter(|&j| !opts.prune_infeasible_assignments || oracle.feasible_at_best(j))
-                .collect();
-            let fresh = PartialSweep::fresh(Masses(vec![0.0; 1 << dn]), 1 << m);
-            (live, fresh)
-        }
-        Some(ck) => side_resume(ck, which, m, dn, oracle.edge_capacities())?,
-    };
-    let cfg = SweepConfig::from_opts(opts);
-    let (part, stats) = drive(&oracle, &walk, &live, &cfg, sentinel, state);
-    Ok((
-        SideCheckpoint {
-            cursor: SweepCursor {
-                total: 1u64 << m,
-                remaining: part.remaining,
-            },
-            live,
-            mass: part.visitor.0,
-            certs: part.certs,
-        },
-        stats,
-    ))
-}
-
-/// Validates a side checkpoint against this decomposition and unpacks it into
-/// the sweep engine's resume form. The checkpoint's `live` set is
-/// authoritative — it records which assignments the interrupted run swept.
-/// The masses split the probability of the configurations swept so far, so
-/// they are finite, nonnegative, add up to at most 1, and sit only on masks
-/// of live assignments; a checkpoint outside that could resume to a
-/// "certified" answer above 1. No assignment's certificates, over side
-/// links of capacities `caps`, may contradict each other.
+/// Validates a side checkpoint against `side`, swept over `dn` assignments,
+/// and returns it as the side sweep's resume state. The checkpoint's `live`
+/// set is authoritative — it records which assignments the interrupted run
+/// swept. The masses split the probability of the configurations swept so
+/// far, so they are finite, nonnegative, add up to at most 1, and sit only
+/// on masks of live assignments; a checkpoint outside that could resume to
+/// a "certified" answer above 1. No assignment's certificates, over the
+/// side's link capacities, may contradict each other.
 fn side_resume(
     ck: &SideCheckpoint,
-    which: &str,
-    m: usize,
+    side: &Side,
     dn: usize,
-    caps: &[u64],
-) -> Result<(Vec<usize>, PartialSweep<Masses<f64>>), ReliabilityError> {
+    which: &str,
+) -> Result<SideCheckpoint, ReliabilityError> {
+    let m = side.net.edge_count();
     if ck.cursor.total != 1u64 << m {
         return Err(mismatch(format!(
             "{which} checkpoint enumerates {} configurations, this side {}",
@@ -1371,17 +1310,11 @@ fn side_resume(
             "{which} checkpoint masses add up to {total}"
         )));
     }
+    let caps: Vec<u64> = side.net.edges().iter().map(|e| e.capacity).collect();
     for certs in &ck.certs {
-        check_certs(certs, caps, which)?;
+        check_certs(certs, &caps, which)?;
     }
-    Ok((
-        ck.live.clone(),
-        PartialSweep {
-            visitor: Masses(ck.mass.clone()),
-            remaining: ck.cursor.remaining.clone(),
-            certs: ck.certs.clone(),
-        },
-    ))
+    Ok(ck.clone())
 }
 
 /// Builds the node for a split on an explicit, validated set. Emits a
@@ -1437,21 +1370,10 @@ fn split_node(
     if net.has_multistate() {
         return leaf_node(net, demand, opts);
     }
-    // One-level engine bounds: checked at plan time either way, so the
-    // caller learns the plan is infeasible before any budget is spent.
-    if assignments.len() > opts.max_assignments || assignments.len() > 31 {
-        return Err(ReliabilityError::TooManyAssignments {
-            count: assignments.len(),
-            max: opts.max_assignments.min(31),
-        });
-    }
-    let widest = set.side_s_edges.max(set.side_t_edges);
-    if widest > opts.max_side_edges {
-        return Err(ReliabilityError::SideTooLarge {
-            count: widest,
-            max: opts.max_side_edges,
-        });
-    }
+    // Side sweep bounds: checked at plan time either way, so the caller
+    // learns the plan is infeasible before any budget is spent.
+    check_assignments(assignments.len(), opts.max_assignments)?;
+    check_side_edges(set.side_s_edges.max(set.side_t_edges), MAX_SIDE_EDGES)?;
     // A DeepCut pays per-assignment spectrum transforms and a deeper slot
     // walk on top of its sweeps, so a marginal predicted saving loses to
     // the flat engine in practice. Charge each leaf slot a fixed setup
@@ -1467,7 +1389,7 @@ fn split_node(
     let flat = assignments.len() as f64 * (side(set.side_s_edges) + side(set.side_t_edges));
     if opts.recursive_cut_sides && depth > 0 && set.edges.len() <= 16 && flat > DEEP_SKIP_FLAT_COST
     {
-        if let Some(node) = deep_cut_node(net, demand, set, &assignments, depth, opts, max_k)? {
+        if let Some(node) = deep_cut_node(net, demand, set, depth, opts, max_k)? {
             let mut slots = Vec::new();
             collect_slots(&node, None, &mut slots);
             if (cost(&node) + LEAF_SETUP_COST * slots.len() as f64) * 2.0 <= flat {
@@ -1492,37 +1414,26 @@ fn deep_cut_node(
     net: &Network,
     demand: FlowDemand,
     set: &BottleneckSet,
-    assignments: &[Assignment],
     depth: usize,
     opts: &CalcOptions,
     max_k: usize,
 ) -> Result<Option<PlanNode>, ReliabilityError> {
-    let dec = decompose(net, &demand, set);
-    let side_s = peel_side(
-        dec.side_s,
+    let Split {
         assignments,
-        demand.demand,
-        depth - 1,
-        opts,
-        max_k,
-    )?;
-    let side_t = peel_side(
-        dec.side_t,
-        assignments,
-        demand.demand,
-        depth - 1,
-        opts,
-        max_k,
-    )?;
+        dec,
+        support,
+        cut_weights,
+        ..
+    } = Split::new(net, &demand, set, edge_weights, opts)?;
+    let peel = |side| peel_side(side, &assignments, demand.demand, depth - 1, opts, max_k);
+    let side_s = peel(dec.side_s)?;
+    let side_t = peel(dec.side_t)?;
     if matches!(side_s, SidePlan::Sweep(_)) && matches!(side_t, SidePlan::Sweep(_)) {
         return Ok(None);
     }
-    let weights = edge_weights(net);
-    let cut_weights: Vec<(f64, f64)> = dec.cut.iter().map(|&e| weights[e.index()]).collect();
-    let support = supported_assignment_masks(assignments, set.edges.len());
     Ok(Some(PlanNode::DeepCut(Box::new(DeepCutNode {
         set: set.clone(),
-        assignments: assignments.to_vec(),
+        assignments,
         cut_weights,
         support,
         side_s,
@@ -1703,7 +1614,7 @@ fn peel_side(
             continue;
         }
         let b_net = bb.build();
-        if b_net.edge_count() > opts.max_side_edges {
+        if b_net.edge_count() > MAX_SIDE_EDGES {
             continue;
         }
         // Attach points carrying zero in every assignment may sit in the
@@ -1867,10 +1778,10 @@ fn leaf_node(
             .count();
         (fallible, (1u64 << fallible.min(63)) as f64)
     };
-    if fallible > opts.max_enum_edges {
+    if fallible > MAX_ENUM_EDGES {
         return Err(ReliabilityError::TooManyEdges {
             count: fallible,
-            max: opts.max_enum_edges,
+            max: MAX_ENUM_EDGES,
         });
     }
     Ok(PlanNode::Leaf(Box::new(LeafNode {

@@ -15,7 +15,7 @@ use netgraph::{EdgeMask, Network};
 
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
-use crate::options::CalcOptions;
+use crate::options::{CalcOptions, MAX_ENUM_EDGES};
 use crate::oracle::DemandOracle;
 
 /// The structural coefficients of the reliability polynomial.
@@ -69,10 +69,10 @@ pub fn reliability_polynomial(
             max: EdgeMask::MAX_EDGES,
         });
     }
-    if m > opts.max_enum_edges {
+    if m > MAX_ENUM_EDGES {
         return Err(ReliabilityError::TooManyEdges {
             count: m,
-            max: opts.max_enum_edges,
+            max: MAX_ENUM_EDGES,
         });
     }
     let mut counts = vec![0u64; m + 1];

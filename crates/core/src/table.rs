@@ -14,6 +14,7 @@
 use crate::budget::BudgetSentinel;
 use crate::error::ReliabilityError;
 use crate::oracle::SideOracle;
+use crate::spectrum::{check_assignments, check_side_edges};
 use crate::sweep::{drive, CountWalk, Masks, PartialSweep, SweepConfig, SweepStats};
 
 /// The realization array of one side: `masks[c]` has bit `j` set iff side
@@ -30,21 +31,18 @@ pub struct RealizationTable {
 
 impl RealizationTable {
     /// Builds the array by solving one max-flow per (configuration,
-    /// assignment) pair.
-    ///
-    /// `prune_infeasible` skips assignments that fail even with every side
-    /// link alive (exact, by monotonicity of flow in link availability).
+    /// assignment) pair. Assignments that fail even with every side link
+    /// alive are not solved: by monotonicity of flow in link availability
+    /// their bits are 0 in every entry.
     pub fn build(
         oracle: &mut SideOracle,
         max_side_edges: usize,
         max_assignments: usize,
-        prune_infeasible: bool,
     ) -> Result<Self, ReliabilityError> {
         Self::build_with(
             oracle,
             max_side_edges,
             max_assignments,
-            prune_infeasible,
             &SweepConfig::serial(),
         )
         .map(|(t, _)| t)
@@ -56,26 +54,13 @@ impl RealizationTable {
         oracle: &mut SideOracle,
         max_side_edges: usize,
         max_assignments: usize,
-        prune_infeasible: bool,
         cfg: &SweepConfig,
     ) -> Result<(Self, SweepStats), ReliabilityError> {
         let m = oracle.edge_count();
         let dn = oracle.assignment_count();
-        if m > max_side_edges {
-            return Err(ReliabilityError::SideTooLarge {
-                count: m,
-                max: max_side_edges,
-            });
-        }
-        if dn > max_assignments || dn > 31 {
-            return Err(ReliabilityError::TooManyAssignments {
-                count: dn,
-                max: max_assignments.min(31),
-            });
-        }
-        let live: Vec<usize> = (0..dn)
-            .filter(|&j| !prune_infeasible || oracle.feasible_at_best(j))
-            .collect();
+        check_assignments(dn, max_assignments)?;
+        check_side_edges(m, max_side_edges)?;
+        let live: Vec<usize> = (0..dn).filter(|&j| oracle.feasible_at_best(j)).collect();
         // the table records verdicts only, so unit weights do
         let ones = vec![(1.0, 1.0); m];
         let fresh = PartialSweep::fresh(Masks::new(0, 1 << m), 1 << m);
@@ -112,7 +97,7 @@ mod tests {
     use crate::assign::Assignment;
     use crate::decompose::Side;
     use maxflow::SolverKind;
-    use netgraph::{GraphKind, NetworkBuilder};
+    use netgraph::{EdgeMask, GraphKind, NetworkBuilder};
 
     fn asg(amounts: &[i64]) -> Assignment {
         Assignment {
@@ -140,7 +125,7 @@ mod tests {
         let side = simple_side();
         let assignments = vec![asg(&[1]), asg(&[2])];
         let mut o = SideOracle::new(&side, &assignments, SolverKind::Dinic).unwrap();
-        let t = RealizationTable::build(&mut o, 10, 10, true).unwrap();
+        let t = RealizationTable::build(&mut o, 10, 10).unwrap();
         assert_eq!(t.masks.len(), 4);
         // config 00: nothing; 01/10: assignment (1) only; 11: both
         assert_eq!(t.mask(0b00), 0b00);
@@ -156,10 +141,17 @@ mod tests {
         // (3) is infeasible even with both links alive
         let assignments = vec![asg(&[1]), asg(&[3])];
         let mut o = SideOracle::new(&side, &assignments, SolverKind::Dinic).unwrap();
-        let pruned = RealizationTable::build(&mut o, 10, 10, true).unwrap();
+        let pruned = RealizationTable::build(&mut o, 10, 10).unwrap();
+        // every bit solved, the pruned lane included
         let mut o2 = SideOracle::new(&side, &assignments, SolverKind::Dinic).unwrap();
-        let full = RealizationTable::build(&mut o2, 10, 10, false).unwrap();
-        assert_eq!(pruned, full);
+        for (c, &mask) in pruned.masks.iter().enumerate() {
+            let mut full = 0;
+            for j in 0..assignments.len() {
+                o2.set_assignment(j);
+                full |= u32::from(o2.admits(EdgeMask::from_bits(c as u64, 2))) << j;
+            }
+            assert_eq!(mask, full, "configuration {c}");
+        }
     }
 
     #[test]
@@ -168,13 +160,13 @@ mod tests {
         let assignments = vec![asg(&[1]), asg(&[2])];
         let mut o = SideOracle::new(&side, &assignments, SolverKind::Dinic).unwrap();
         let (plain, s0) =
-            RealizationTable::build_with(&mut o, 10, 10, true, &SweepConfig::serial()).unwrap();
+            RealizationTable::build_with(&mut o, 10, 10, &SweepConfig::serial()).unwrap();
         let mut o2 = SideOracle::new(&side, &assignments, SolverKind::Dinic).unwrap();
         let cfg = SweepConfig {
             certificates: true,
             ..SweepConfig::serial()
         };
-        let (cached, s1) = RealizationTable::build_with(&mut o2, 10, 10, true, &cfg).unwrap();
+        let (cached, s1) = RealizationTable::build_with(&mut o2, 10, 10, &cfg).unwrap();
         assert_eq!(plain, cached, "cache hits must reproduce every table entry");
         assert_eq!(s0.solver_calls_avoided(), 0);
         assert!(s1.solver_calls_avoided() > 0);
@@ -186,12 +178,12 @@ mod tests {
         let assignments = vec![asg(&[1])];
         let mut o = SideOracle::new(&side, &assignments, SolverKind::Dinic).unwrap();
         assert!(matches!(
-            RealizationTable::build(&mut o, 1, 10, true),
+            RealizationTable::build(&mut o, 1, 10),
             Err(ReliabilityError::SideTooLarge { count: 2, max: 1 })
         ));
         let mut o = SideOracle::new(&side, &assignments, SolverKind::Dinic).unwrap();
         assert!(matches!(
-            RealizationTable::build(&mut o, 10, 0, true),
+            RealizationTable::build(&mut o, 10, 0),
             Err(ReliabilityError::TooManyAssignments { .. })
         ));
     }

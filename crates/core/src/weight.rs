@@ -1,9 +1,13 @@
 //! The weight abstraction: one generic implementation, two value domains.
 //!
-//! Every probability computation in this crate is written once, generically
-//! over [`Weight`], and instantiated at `f64` (fast) and
-//! [`exactmath::BigRational`] (exact). Because both instantiations execute the
-//! *same* code, the exact run validates the float run end to end.
+//! The sweep engine ([`crate::sweep`]), the naive sweep, the bottleneck
+//! split body ([`crate::spectrum`]) and the accumulation
+//! ([`crate::accumulate`]) are written once, generically over [`Weight`],
+//! and instantiated at `f64` (fast) and [`exactmath::BigRational`] (exact).
+//! Both instantiations execute the *same* code — the split body is the one
+//! the plan interpreter's `Cut` slots run — so the exact run validates the
+//! float sweeps and accumulation. The plan interpreter's combinators
+//! (bridges, peels, certified intervals) are `f64` only.
 
 use exactmath::BigRational;
 use netgraph::{Network, StateExpansion};

@@ -8,7 +8,9 @@
 //! ```
 //!
 //! Prints `flowrel-server listening on <addr>` once ready (the CI smoke test
-//! and the lifecycle suite key on that line). SIGINT/SIGTERM start a
+//! and the lifecycle suite key on that line). A closed stdout is not an
+//! error; if the line cannot be written for another reason, the server
+//! stops and exits `3`. SIGINT/SIGTERM start a
 //! graceful drain: in-flight requests are interrupted at the next budget
 //! poll, parked under resume tokens in `--state-dir`, and the process exits
 //! once every session has closed. A second signal aborts immediately.
@@ -17,6 +19,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use flowrel_server::{start, BindAddr, ServerConfig};
+use flowrel_shutdown::outln;
+use flowrel_shutdown::stdout::{stdout_error, EXIT_IO};
 
 fn usage() -> &'static str {
     "usage: flowrel-server [--addr unix:/path | host:port] [--state-dir DIR]\n\
@@ -92,7 +96,14 @@ fn main() -> ExitCode {
             return ExitCode::from(3);
         }
     };
-    println!("flowrel-server listening on {}", handle.addr());
+    outln!("flowrel-server listening on {}", handle.addr());
+    // nothing waiting on the ready line would ever see it: stop serving
+    if let Some(e) = stdout_error() {
+        eprintln!("flowrel-server: writing stdout: {e}");
+        handle.shutdown_token().trip();
+        handle.join();
+        return ExitCode::from(EXIT_IO);
+    }
 
     // Bridge SIGINT/SIGTERM into the drain token. The bridge thread may
     // outlive `join` harmlessly; a second signal hard-exits via the shared

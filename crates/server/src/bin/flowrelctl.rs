@@ -11,7 +11,8 @@
 //! ```
 //!
 //! Exit codes mirror the `flowrel` CLI: `0` success, `2` usage, `3` I/O or
-//! transport, `20` a partial (interrupted) answer — the resume token is
+//! transport (a failed write to stdout included; a closed stdout is not a
+//! failure), `20` a partial (interrupted) answer — the resume token is
 //! printed so a later `flowrelctl resume` can continue — and any other code
 //! is the server's structured error code (`4` parse, `6` overloaded,
 //! `10`–`24` calculator errors, …).
@@ -20,6 +21,8 @@ use std::process::ExitCode;
 
 use flowrel_server::proto::StatsSnapshot;
 use flowrel_server::{BindAddr, Client, ComputeRequest, Response, StrategySpec};
+use flowrel_shutdown::outln;
+use flowrel_shutdown::stdout::exit_status;
 
 struct CtlError {
     code: u8,
@@ -56,30 +59,30 @@ fn connect(addr: &Option<BindAddr>) -> Result<Client, CtlError> {
 }
 
 fn print_stats(s: &StatsSnapshot) {
-    println!("active_sessions  {}", s.active_sessions);
-    println!("active_requests  {}", s.active_requests);
-    println!("served           {}", s.served);
-    println!("shed             {}", s.shed);
-    println!("protocol_errors  {}", s.protocol_errors);
-    println!("panics           {}", s.panics);
-    println!("parked           {}", s.parked);
-    println!("cache_hits       {}", s.cache_hits);
-    println!("cache_misses     {}", s.cache_misses);
-    println!("result_hits      {}", s.result_hits);
-    println!("  raw            {}", s.result_hits_raw);
-    println!("  reduced        {}", s.result_hits_reduced);
-    println!("shutting_down    {}", s.shutting_down);
+    outln!("active_sessions  {}", s.active_sessions);
+    outln!("active_requests  {}", s.active_requests);
+    outln!("served           {}", s.served);
+    outln!("shed             {}", s.shed);
+    outln!("protocol_errors  {}", s.protocol_errors);
+    outln!("panics           {}", s.panics);
+    outln!("parked           {}", s.parked);
+    outln!("cache_hits       {}", s.cache_hits);
+    outln!("cache_misses     {}", s.cache_misses);
+    outln!("result_hits      {}", s.result_hits);
+    outln!("  raw            {}", s.result_hits_raw);
+    outln!("  reduced        {}", s.result_hits_reduced);
+    outln!("shutting_down    {}", s.shutting_down);
 }
 
 /// Prints a server response; the returned code is the process exit code.
 fn report(resp: Response) -> u8 {
     match resp {
         Response::Pong => {
-            println!("pong");
+            outln!("pong");
             0
         }
         Response::ShuttingDown => {
-            println!("server is draining");
+            outln!("server is draining");
             0
         }
         Response::Stats(s) => {
@@ -92,12 +95,12 @@ fn report(resp: Response) -> u8 {
             cached,
             certified,
         } => {
-            println!("reliability {reliability:.12}");
-            println!(
+            outln!("reliability {reliability:.12}");
+            outln!(
                 "algorithm   {algorithm}{}",
                 if cached { " (cached)" } else { "" }
             );
-            println!(
+            outln!(
                 "certainty   {}",
                 if certified {
                     "certified"
@@ -116,10 +119,10 @@ fn report(resp: Response) -> u8 {
             certified,
             ..
         } => {
-            println!("partial [{r_low:.12}, {r_high:.12}]");
-            println!("explored  {:.2}%", explored * 100.0);
-            println!("algorithm {algorithm}");
-            println!(
+            outln!("partial [{r_low:.12}, {r_high:.12}]");
+            outln!("explored  {:.2}%", explored * 100.0);
+            outln!("algorithm {algorithm}");
+            outln!(
                 "certainty {}",
                 if certified {
                     "certified"
@@ -127,7 +130,7 @@ fn report(resp: Response) -> u8 {
                     "statistical"
                 }
             );
-            println!("token     {token}");
+            outln!("token     {token}");
             20
         }
         Response::Error(e) => {
@@ -159,7 +162,7 @@ fn run(args: &[String]) -> Result<u8, CtlError> {
             client
                 .ping()
                 .map_err(|e| CtlError::io(format!("ping: {e}")))?;
-            println!("pong");
+            outln!("pong");
             Ok(0)
         }
         "stats" => {
@@ -262,7 +265,7 @@ fn run(args: &[String]) -> Result<u8, CtlError> {
             Ok(report(resp))
         }
         "--help" | "-h" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(0)
         }
         other => Err(CtlError::usage(format!(
@@ -274,11 +277,12 @@ fn run(args: &[String]) -> Result<u8, CtlError> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => ExitCode::from(code),
+    let code = match run(&args) {
+        Ok(code) => code,
         Err(e) => {
             eprintln!("flowrelctl: {}", e.message);
-            ExitCode::from(e.code)
+            e.code
         }
-    }
+    };
+    ExitCode::from(exit_status("flowrelctl", code))
 }

@@ -1,4 +1,5 @@
-//! Shared two-stage shutdown signal handling for the `flowrel` binaries.
+//! Shared two-stage shutdown signal handling for the `flowrel` binaries,
+//! and their stdout writes.
 //!
 //! Both the one-shot CLI (`flowrel`) and the daemon (`flowrel-server`) want
 //! the same contract: the **first** `SIGINT`/`SIGTERM` requests a graceful
@@ -16,10 +17,15 @@
 //! allocating [`CancelToken`] world.
 //!
 //! Off Unix this degrades to a token that never trips.
+//!
+//! The crate also holds the binaries' one rule for writing stdout without
+//! panicking ([`stdout`], [`outln!`], [`out!`]).
 
 #![warn(missing_docs)]
 
 use flowrel_core::CancelToken;
+
+pub mod stdout;
 
 /// Handle to the process-wide shutdown state installed by
 /// [`ShutdownSignal::install`]. Cheap to clone; all clones observe the same

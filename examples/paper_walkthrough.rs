@@ -46,7 +46,7 @@ fn main() {
     println!("\n== Fig. 5: realized assignment sets of G_s configurations ==");
     let dec = decompose(&inst.net, &demand, &bset);
     let mut oracle = SideOracle::new(&dec.side_s, &assignments, SolverKind::Dinic).unwrap();
-    let table = RealizationTable::build(&mut oracle, 26, 20, false).unwrap();
+    let table = RealizationTable::build(&mut oracle, 26, 20).unwrap();
     for (idx, (alive, _)) in paper::fig5_configurations().iter().enumerate() {
         let bits = alive.iter().fold(0usize, |acc, &i| acc | 1 << i);
         let realized: Vec<String> = table

@@ -1,5 +1,6 @@
 //! Resume refuses checkpoints whose sums or masses no run could have
-//! written.
+//! written, and no edit of a checkpoint's text makes parsing or resuming
+//! panic.
 //!
 //! A naive checkpoint's `feasible` and `explored` sums are probabilities of
 //! configuration sets, the first a subset of the second. A side checkpoint's
@@ -14,8 +15,11 @@ use flowrel::core::{
     Budget, CalcOptions, Checkpoint, CheckpointKind, FlowDemand, NaiveCheckpoint, Outcome,
     PlanLeafState, ReliabilityCalculator, ReliabilityError, SideCheckpoint, SolveCert, Strategy,
 };
-use flowrel::netgraph::Network;
+use flowrel::netgraph::{GraphKind, Network, NetworkBuilder};
 use flowrel::workloads::generators::{self, BarbellParams};
+use proptest::prelude::TestCaseError;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 fn calc(strategy: Strategy, max_configs: Option<u64>) -> ReliabilityCalculator {
     ReliabilityCalculator::new()
@@ -180,4 +184,176 @@ fn certificate_lists_longer_than_any_run_writes_are_refused() {
     };
     refuse_naive(|n| flood(&mut n.certs));
     refuse_side(|s| flood(&mut s.certs[0]));
+}
+
+/// `flowrel generate degraded-barbell 4 2 3 2 7`: multi-state cut links.
+fn degraded_barbell() -> (Network, FlowDemand) {
+    let (inst, _) = generators::degraded_barbell(BarbellParams {
+        cluster_nodes: 4,
+        cluster_extra_edges: 2,
+        cut_links: 3,
+        cut_capacity: 2,
+        demand: 2,
+        seed: 7,
+    });
+    let d = FlowDemand::new(inst.source, inst.sink, inst.demand);
+    (inst.net, d)
+}
+
+/// Two chains of three triangles joined by two parallel unit links, with
+/// every link failing at 0.15: its `k = 2` plan is a `DeepCut`.
+fn hub_barbell() -> (Network, FlowDemand) {
+    let p = 0.15;
+    let mut b = NetworkBuilder::new(GraphKind::Undirected);
+    let side = |b: &mut NetworkBuilder| {
+        let n = b.add_nodes(9);
+        for t in 0..3 {
+            let base = 3 * t;
+            b.add_edge(n[base], n[base + 1], 2, p).unwrap();
+            b.add_edge(n[base + 1], n[base + 2], 2, p).unwrap();
+            b.add_edge(n[base + 2], n[base], 2, p).unwrap();
+            if t > 0 {
+                b.add_edge(n[base - 1], n[base], 2, p).unwrap();
+            }
+        }
+        (n[0], n[8])
+    };
+    let (s, left_end) = side(&mut b);
+    let (right_start, t) = side(&mut b);
+    b.add_edge(left_end, right_start, 1, p).unwrap();
+    b.add_edge(left_end, right_start, 1, p).unwrap();
+    (b.build(), FlowDemand::new(s, t, 1))
+}
+
+/// Every golden checkpoint (`tests/fixtures/golden/`) with the instance it
+/// was written for, as `tests/golden_checkpoints.rs` builds them. Resume
+/// takes the algorithm and the planning knobs from the checkpoint.
+fn golden_fixtures() -> Vec<(&'static str, String, Network, FlowDemand)> {
+    let read = |name: &str| {
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/golden")
+            .join(name);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let named = [
+        ("naive-grid33-200.ckpt", grid33()),
+        ("naive-grid33-chain-1.ckpt", grid33()),
+        ("naive-grid33-chain-2.ckpt", grid33()),
+        ("naive-grid33-chain-3.ckpt", grid33()),
+        ("naive-grid33-chain-4.ckpt", grid33()),
+        ("naive-degraded-barbell-200.ckpt", degraded_barbell()),
+        ("auto-barbell-3.ckpt", barbell()),
+        ("auto-barbell-40.ckpt", barbell()),
+        ("auto-barbell-flat-40.ckpt", barbell()),
+        ("deepcut-hub-barbell-2.ckpt", hub_barbell()),
+    ];
+    named
+        .into_iter()
+        .map(|(name, (net, d))| (name, read(name), net, d))
+        .collect()
+}
+
+/// One random edit of a checkpoint's text: a hex digit flipped, a number
+/// set to 0 or `u64::MAX`, a line dropped, duplicated or swapped with
+/// another, or the text cut short. Returns the edited text and what was
+/// done, for the failure message.
+fn mutate(text: &str, rng: &mut StdRng) -> (String, String) {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let n = lines.len();
+    let at = rng.gen_range(0..n);
+    let what = match rng.gen_range(0..6u32) {
+        0 => {
+            let digits: Vec<usize> = lines[at]
+                .char_indices()
+                .filter(|&(_, c)| c.is_ascii_hexdigit())
+                .map(|(i, _)| i)
+                .collect();
+            if digits.is_empty() {
+                return (text.to_string(), format!("nothing to flip on line {at}"));
+            }
+            let i = digits[rng.gen_range(0..digits.len())];
+            let old = lines[at].as_bytes()[i] as char;
+            let new = loop {
+                let c = char::from_digit(rng.gen_range(0..16u32), 16).unwrap_or('0');
+                if c != old {
+                    break c;
+                }
+            };
+            lines[at].replace_range(i..i + 1, &new.to_string());
+            format!("line {at}: hex digit {old} -> {new}")
+        }
+        1 => {
+            let mut words: Vec<String> = lines[at].split(' ').map(str::to_string).collect();
+            let numeric: Vec<usize> = (0..words.len())
+                .filter(|&w| words[w].chars().all(|c| c.is_ascii_hexdigit()))
+                .collect();
+            if numeric.is_empty() {
+                return (text.to_string(), format!("no number on line {at}"));
+            }
+            let w = numeric[rng.gen_range(0..numeric.len())];
+            let value = ["0", "ffffffffffffffff", "18446744073709551615"][rng.gen_range(0..3usize)];
+            words[w] = value.to_string();
+            lines[at] = words.join(" ");
+            format!("line {at}: word {w} -> {value}")
+        }
+        2 => {
+            lines.remove(at);
+            format!("line {at} dropped")
+        }
+        3 => {
+            lines.insert(at, lines[at].clone());
+            format!("line {at} duplicated")
+        }
+        4 => {
+            let other = rng.gen_range(0..n);
+            lines.swap(at, other);
+            format!("lines {at} and {other} swapped")
+        }
+        _ => {
+            let cut = rng.gen_range(0..text.len());
+            return (text[..cut].to_string(), format!("cut at byte {cut}"));
+        }
+    };
+    let mut out = lines.join("\n");
+    out.push('\n');
+    (out, what)
+}
+
+/// Parses `text` and resumes it on `(net, d)` under a 256-configuration
+/// budget; a panic anywhere on the way is the failure.
+fn parse_and_resume(text: &str, net: &Network, d: FlowDemand) -> Result<(), String> {
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let Ok(ck) = Checkpoint::from_text(text) else {
+            return;
+        };
+        let calc = ReliabilityCalculator::new().with_options(CalcOptions {
+            parallel: false,
+            budget: Budget {
+                max_configs: Some(256),
+                ..Budget::unlimited()
+            },
+            ..CalcOptions::default()
+        });
+        let _ = calc.resume(net, d, &ck);
+    }));
+    caught.map_err(|panic| {
+        panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "a panic".to_string())
+    })
+}
+
+/// Randomly edited golden checkpoints parse and resume to a value or a
+/// typed error, never a panic.
+#[test]
+fn mutated_golden_checkpoints_never_panic() {
+    let fixtures = golden_fixtures();
+    proptest::run_cases("mutated_golden_checkpoints", 600, |rng| {
+        let (name, text, net, d) = &fixtures[rng.gen_range(0..fixtures.len())];
+        let (edited, what) = mutate(text, rng);
+        parse_and_resume(&edited, net, *d)
+            .map_err(|p| TestCaseError::fail(format!("{name}, {what}: {p}\n{edited}")))
+    });
 }

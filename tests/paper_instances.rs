@@ -92,7 +92,7 @@ fn fig5_configurations_realize_paper_sets() {
 
     let mut oracle =
         SideOracle::new(&dec.side_s, &assignments, maxflow::SolverKind::Dinic).unwrap();
-    let table = RealizationTable::build(&mut oracle, 26, 20, false).unwrap();
+    let table = RealizationTable::build(&mut oracle, 26, 20).unwrap();
 
     for (alive, expected) in paper::fig5_configurations() {
         let mut bits = 0u64;
@@ -119,7 +119,7 @@ fn fig4_array_dimensions_match_section_3c() {
     let assignments = enumerate_assignments(2, &[(0i64, 2), (0, 2)]);
     let mut oracle =
         SideOracle::new(&dec.side_s, &assignments, maxflow::SolverKind::Dinic).unwrap();
-    let table = RealizationTable::build(&mut oracle, 26, 20, false).unwrap();
+    let table = RealizationTable::build(&mut oracle, 26, 20).unwrap();
     assert_eq!(table.masks.len(), 1 << 5, "2^{{|E_s|}} entries");
     assert_eq!(table.assign_count, 3, "|D|-bit entries");
     // the all-failed configuration realizes nothing

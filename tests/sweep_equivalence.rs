@@ -7,7 +7,6 @@ use flowrel::core::assign::crossing_ranges;
 use flowrel::core::{
     decompose, enumerate_assignments, find_bottleneck_set, reliability_bottleneck,
     reliability_naive_with_stats, CalcOptions, FlowDemand, RealizationSpectrum, ReliabilityError,
-    SideOracle, SweepConfig,
 };
 use flowrel::netgraph::{GraphKind, Network, NetworkBuilder};
 use rand::prelude::*;
@@ -134,25 +133,17 @@ fn certificate_hits_never_change_spectrum_masses() {
             continue;
         }
         let dec = decompose(&net, &d, &set);
+        let serial = |certificate_cache| CalcOptions {
+            certificate_cache,
+            incremental: false,
+            ..CalcOptions::default()
+        };
         for side in [&dec.side_s, &dec.side_t] {
             let weights = flowrel::core::edge_weights(&side.net);
-            let mut o = SideOracle::new(side, &assignments, Default::default()).unwrap();
-            let (plain, _) = RealizationSpectrum::build_with(
-                &mut o,
-                &weights,
-                26,
-                20,
-                true,
-                &SweepConfig::serial(),
-            )
-            .unwrap();
-            let mut o2 = SideOracle::new(side, &assignments, Default::default()).unwrap();
-            let cfg = SweepConfig {
-                certificates: true,
-                ..SweepConfig::serial()
-            };
+            let (plain, _) =
+                RealizationSpectrum::sweep(side, &assignments, &weights, &serial(false)).unwrap();
             let (cached, stats) =
-                RealizationSpectrum::build_with(&mut o2, &weights, 26, 20, true, &cfg).unwrap();
+                RealizationSpectrum::sweep(side, &assignments, &weights, &serial(true)).unwrap();
             assert_eq!(plain.mass, cached.mass, "cache hits must not move any mass");
             hits += stats.solver_calls_avoided();
             checked += 1;
