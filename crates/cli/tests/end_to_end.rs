@@ -160,6 +160,33 @@ fn compute_accepts_exactly_the_four_strategies() {
 }
 
 #[test]
+fn side_checkpoints_from_before_the_nearest_first_order_exit_23() {
+    // `flowrel generate barbell 7 4 2 2 1`, and the checkpoint a budgeted run
+    // of it wrote before side sweeps walked their links nearest first
+    let (inst, _) = workloads::generators::barbell(workloads::generators::BarbellParams {
+        cluster_nodes: 7,
+        cluster_extra_edges: 4,
+        cut_links: 2,
+        cut_capacity: 2,
+        demand: 2,
+        seed: 1,
+    });
+    let demand = FlowDemand::new(inst.source, inst.sink, inst.demand);
+    let dir = std::env::temp_dir().join(format!("flowrel-cli-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("barbell.fnet");
+    std::fs::write(&path, format::serialize(&inst.net, Some(demand))).unwrap();
+    let legacy = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/golden/legacy-order-barbell7-300.ckpt"
+    );
+    let (code, err) = flowrel(&["compute", path.to_str().unwrap(), "--resume", legacy]);
+    assert_eq!(code, Some(23), "{err}");
+    assert!(err.contains("order bfs"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn importance_beyond_the_link_mask_is_an_error_not_a_panic() {
     // the 71-link grid `flowrel generate grid 6 7 3` writes
     let inst = workloads::generators::grid(6, 7, 3);

@@ -119,6 +119,7 @@ pub fn reliability_bottleneck_exact(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assign::AssignmentModel;
     use crate::calculator::{ReliabilityCalculator, Strategy};
     use crate::naive::{reliability_naive, reliability_naive_exact};
     use netgraph::{GraphKind, NetworkBuilder, NodeId};
@@ -258,6 +259,32 @@ mod tests {
             reliability_bottleneck_exact(&wide, d, &[bridge], &opts),
             Err(ReliabilityError::SideTooLarge { count: 27, max: 26 })
         ));
+    }
+
+    #[test]
+    fn cuts_wider_than_the_support_table_are_refused() {
+        // 17 parallel unit links: one assignment per link at d = 1, under the
+        // assignment cap, but a cut of more links than the split tabulates
+        let mut b = NetworkBuilder::new(GraphKind::Directed);
+        let n = b.add_nodes(2);
+        let cut: Vec<EdgeId> = (0..17)
+            .map(|_| b.add_edge(n[0], n[1], 1, 0.1).unwrap())
+            .collect();
+        let (net, d) = (b.build(), FlowDemand::new(n[0], n[1], 1));
+        for model in [AssignmentModel::ForwardOnly, AssignmentModel::Net] {
+            let opts = CalcOptions {
+                assignment_model: model,
+                ..CalcOptions::default()
+            };
+            assert!(matches!(
+                reliability_bottleneck(&net, d, &cut, &opts),
+                Err(ReliabilityError::TooManyEdges { count: 17, max: 16 })
+            ));
+            assert!(matches!(
+                reliability_bottleneck_exact(&net, d, &cut, &opts),
+                Err(ReliabilityError::TooManyEdges { count: 17, max: 16 })
+            ));
+        }
     }
 
     #[test]

@@ -65,8 +65,10 @@ impl CancelToken {
 pub struct Budget {
     /// Wall-clock limit, measured from [`Budget::start`].
     pub time_limit: Option<Duration>,
-    /// Maximum number of configurations (solver questions) to examine,
-    /// summed over all workers and both decomposition sides.
+    /// Maximum number of checks (configuration × lane questions, answered
+    /// by a certificate or the solver) to make, summed over all workers and
+    /// both decomposition sides. A side sweep that closes a subcube is
+    /// charged the checks that closed it, not the configurations it covers.
     pub max_configs: Option<u64>,
     /// Cooperative cancellation (e.g. tripped by a Ctrl-C handler).
     pub cancel: Option<CancelToken>,

@@ -21,7 +21,7 @@ use crate::assign::AssignmentModel;
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::CalcOptions;
-use crate::sweep::LANE_CERTS;
+use crate::sweep::{LANE_CERTS, LEAF_LINKS};
 
 /// Where an interrupted sweep stopped: the size of its index space and the
 /// half-open index ranges never examined.
@@ -803,8 +803,18 @@ fn read_naive_body(lines: &mut std::str::Lines<'_>) -> Result<NaiveCheckpoint, R
     })
 }
 
+/// Whether a side sweep of `total` configurations walks its links nearest
+/// first ([`crate::spectrum::side_order`]): its section then carries the
+/// `order bfs` line, which side sections written before that order lack.
+fn nearest_first(total: u64) -> bool {
+    total > 1 << LEAF_LINKS
+}
+
 fn write_side(out: &mut String, label: &str, side: &SideCheckpoint) {
     out.push_str(&format!("side {label}\n"));
+    if nearest_first(side.cursor.total) {
+        out.push_str("order bfs\n");
+    }
     write_cursor(out, &side.cursor);
     out.push_str(&format!("live {}", side.live.len()));
     for &j in &side.live {
@@ -932,7 +942,31 @@ fn read_side(
     if f.first().copied() != Some(label) {
         return Err(bad(format!("expected side `{label}`")));
     }
+    // optional `order` line, same peek-on-clone rewind as `reduce-shape`
+    let save = lines.clone();
+    let ordered = match field(lines, "order") {
+        Ok(o) if o[..] == ["bfs"] => true,
+        Ok(_) => return Err(bad("unknown side link order")),
+        Err(_) => {
+            *lines = save;
+            false
+        }
+    };
     let cursor = read_cursor(lines)?;
+    if ordered != nearest_first(cursor.total) {
+        return Err(bad(if ordered {
+            format!(
+                "side `{label}` of {} configurations carries a link order no run writes",
+                cursor.total
+            )
+        } else {
+            format!(
+                "side `{label}` has more than {LEAF_LINKS} links but no `order bfs` line: it \
+                 was written before side sweeps walked their links nearest first, and its \
+                 cursor cannot be resumed"
+            )
+        }));
+    }
     let lf = field(lines, "live")?;
     let n: usize = parse(lf.first(), "live count")?;
     if n.checked_add(1) != Some(lf.len()) {
@@ -1016,6 +1050,24 @@ mod tests {
                 side_s: side(64),
                 side_t: side(128),
             },
+        }
+    }
+
+    #[test]
+    fn side_sections_over_six_links_carry_the_order_marker() {
+        // side s enumerates 64 configurations, side t 128
+        let text = bottleneck_checkpoint().to_text();
+        assert_eq!(text.matches("order bfs").count(), 1);
+        assert!(text.contains("side t\norder bfs\ncursor 80 "));
+        for bad in [
+            text.replace("side t\norder bfs\n", "side t\n"),
+            text.replace("side s\n", "side s\norder bfs\n"),
+            text.replace("order bfs", "order dfs"),
+        ] {
+            assert!(matches!(
+                Checkpoint::from_text(&bad),
+                Err(ReliabilityError::CheckpointMismatch { .. })
+            ));
         }
     }
 

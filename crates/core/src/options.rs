@@ -16,6 +16,12 @@ pub const MAX_ENUM_EDGES: usize = 30;
 /// [`ReliabilityError::SideTooLarge`](crate::ReliabilityError::SideTooLarge).
 pub const MAX_SIDE_EDGES: usize = 26;
 
+/// Bottleneck splits refuse cuts of more than this many links with
+/// [`ReliabilityError::TooManyEdges`](crate::ReliabilityError::TooManyEdges):
+/// a split tabulates the assignments each of the `2^k` cut configurations
+/// supports.
+pub const MAX_CUT_EDGES: usize = 16;
+
 /// Factoring refuses networks with more than this many links with
 /// [`ReliabilityError::TooManyEdges`](crate::ReliabilityError::TooManyEdges):
 /// its flow-based pruning lets it reach past [`MAX_ENUM_EDGES`].
@@ -24,7 +30,7 @@ pub const MAX_FACTORING_EDGES: usize = 40;
 /// Options shared by the reliability algorithms.
 ///
 /// The enumeration bounds are constants ([`MAX_ENUM_EDGES`],
-/// [`MAX_SIDE_EDGES`], [`MAX_FACTORING_EDGES`]); side sweeps always skip the
+/// [`MAX_SIDE_EDGES`], [`MAX_CUT_EDGES`], [`MAX_FACTORING_EDGES`]); side sweeps always skip the
 /// assignments a side cannot realize with every link alive (exact, by
 /// monotonicity of flow in link availability).
 #[derive(Clone, Debug)]

@@ -100,7 +100,7 @@ use crate::options::{CalcOptions, MAX_ENUM_EDGES, MAX_SIDE_EDGES};
 use crate::oracle::DemandOracle;
 use crate::preprocess::relevance_reduce;
 use crate::reduce::{reduce, ReduceStats};
-use crate::spectrum::{check_assignments, check_side_edges, sweep_side, Split};
+use crate::spectrum::{check_assignments, check_cut_edges, check_side_edges, sweep_side, Split};
 use crate::spreduce::{reduce_unit_demand, ReductionStats};
 use crate::sweep::SweepStats;
 use crate::weight::edge_weights;
@@ -1372,6 +1372,7 @@ fn split_node(
     }
     // Side sweep bounds: checked at plan time either way, so the caller
     // learns the plan is infeasible before any budget is spent.
+    check_cut_edges(set.edges.len())?;
     check_assignments(assignments.len(), opts.max_assignments)?;
     check_side_edges(set.side_s_edges.max(set.side_t_edges), MAX_SIDE_EDGES)?;
     // A DeepCut pays per-assignment spectrum transforms and a deeper slot

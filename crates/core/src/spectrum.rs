@@ -39,9 +39,9 @@ use crate::checkpoint::{SideCheckpoint, SweepCursor};
 use crate::decompose::{decompose, Decomposition, Side};
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
-use crate::options::{CalcOptions, MAX_SIDE_EDGES};
+use crate::options::{CalcOptions, MAX_CUT_EDGES, MAX_SIDE_EDGES};
 use crate::oracle::SideOracle;
-use crate::sweep::{drive, CountWalk, Masses, PartialSweep, SweepConfig, SweepStats};
+use crate::sweep::{drive, CountWalk, Masses, PartialSweep, SweepConfig, SweepStats, LEAF_LINKS};
 use crate::weight::{EdgeWeights, Weight};
 
 /// Probability mass of each realization mask for one side.
@@ -101,12 +101,69 @@ pub(crate) fn check_assignments(dn: usize, max_assignments: usize) -> Result<(),
     Ok(())
 }
 
+/// Refuses a cut of more than [`MAX_CUT_EDGES`] links.
+pub(crate) fn check_cut_edges(k: usize) -> Result<(), ReliabilityError> {
+    if k > MAX_CUT_EDGES {
+        return Err(ReliabilityError::TooManyEdges {
+            count: k,
+            max: MAX_CUT_EDGES,
+        });
+    }
+    Ok(())
+}
+
 /// Refuses a side sweep over more than `max` links.
 pub(crate) fn check_side_edges(m: usize, max: usize) -> Result<(), ReliabilityError> {
     if m > max {
         return Err(ReliabilityError::SideTooLarge { count: m, max });
     }
     Ok(())
+}
+
+/// The link of each index bit of `side`'s counting walk. A side of more
+/// than [`LEAF_LINKS`] links, more than one leaf block of the sweep, puts
+/// the link nearest the terminals (BFS hops from the demand terminal and
+/// the attach points, over links either way, ties broken by link index) on
+/// the highest bit and the farthest ones on the lowest, so the sweep's
+/// aligned blocks fix the near links and leave the far ones free, and a
+/// block splits on its nearest free link first. A smaller side keeps
+/// index = configuration: it is one leaf block, swept as before the order
+/// existed, so its checkpoints keep their bytes.
+pub(crate) fn side_order(side: &Side) -> Vec<usize> {
+    let edges = side.net.edges();
+    if edges.len() <= LEAF_LINKS {
+        return (0..edges.len()).collect();
+    }
+    let mut adj = vec![Vec::new(); side.net.node_count()];
+    for e in edges {
+        adj[e.src.index()].push(e.dst.index());
+        adj[e.dst.index()].push(e.src.index());
+    }
+    let mut hops = vec![usize::MAX; adj.len()];
+    let mut queue = std::collections::VecDeque::new();
+    for n in std::iter::once(side.terminal).chain(side.attach.iter().copied()) {
+        if hops[n.index()] != 0 {
+            hops[n.index()] = 0;
+            queue.push_back(n.index());
+        }
+    }
+    while let Some(u) = queue.pop_front() {
+        for &v in &adj[u] {
+            if hops[v] == usize::MAX {
+                hops[v] = hops[u] + 1;
+                queue.push_back(v);
+            }
+        }
+    }
+    let mut order: Vec<usize> = (0..edges.len()).collect();
+    order.sort_by_key(|&i| {
+        (
+            hops[edges[i].src.index()].min(hops[edges[i].dst.index()]),
+            i,
+        )
+    });
+    order.reverse();
+    order
 }
 
 /// Sweeps one side's realization spectrum against `assignments` under
@@ -142,7 +199,7 @@ pub(crate) fn sweep_side<W: Weight>(
             PartialSweep::fresh(Masses(vec![W::zero(); 1 << dn]), 1 << m),
         ),
     };
-    let walk = CountWalk::new(weights);
+    let walk = CountWalk::new(weights, side_order(side));
     let cfg = SweepConfig::from_opts(opts);
     let (part, stats) = drive(&oracle, &walk, &live, &cfg, sentinel, state);
     let state = SideCheckpoint {
@@ -172,8 +229,9 @@ pub(crate) struct Split<W> {
 
 impl<W: Weight> Split<W> {
     /// Enumerates `D` under `opts`' assignment model and decomposes `net`
-    /// along `set`, with link weights `weigh`. Refuses more assignments
-    /// than the masks hold.
+    /// along `set`, with link weights `weigh`. Refuses a cut of more links
+    /// than its support table covers, and more assignments than the masks
+    /// hold.
     pub(crate) fn new(
         net: &Network,
         demand: &FlowDemand,
@@ -181,6 +239,7 @@ impl<W: Weight> Split<W> {
         weigh: fn(&Network) -> EdgeWeights<W>,
         opts: &CalcOptions,
     ) -> Result<Self, ReliabilityError> {
+        check_cut_edges(set.edges.len())?;
         let ranges = crossing_ranges(
             net,
             &set.edges,
@@ -270,13 +329,13 @@ pub(crate) fn split_value<W: Weight>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assign::Assignment;
+    use crate::assign::{Assignment, AssignmentModel};
     use crate::decompose::Side;
     use crate::table::RealizationTable;
     use crate::weight::{edge_weights, edge_weights_exact};
     use exactmath::BigRational;
     use maxflow::SolverKind;
-    use netgraph::{GraphKind, NetworkBuilder};
+    use netgraph::{EdgeMask, GraphKind, NetworkBuilder};
 
     fn asg(amounts: &[i64]) -> Assignment {
         Assignment {
@@ -385,6 +444,285 @@ mod tests {
             "8 configs x 3 assignments must yield hits"
         );
         assert_eq!(s1.configs, s0.configs);
+    }
+
+    /// A random split whose two sides have 7–14 links each: two connected
+    /// random components of 4–6 nodes joined by 2–3 cut links, capacities
+    /// 1–3, failure probabilities in sixteenths, demand 2.
+    fn random_split(seed: u64, kind: GraphKind, model: AssignmentModel) -> Split<BigRational> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut b = NetworkBuilder::new(kind);
+        let nodes = [rng.gen_range(4..=6), rng.gen_range(4..=6)];
+        let s_nodes = b.add_nodes(nodes[0]);
+        let t_nodes = b.add_nodes(nodes[1]);
+        let link = |b: &mut NetworkBuilder, u, v, rng: &mut rand::rngs::StdRng| {
+            let p = f64::from(rng.gen_range(1..=6u8)) / 16.0;
+            b.add_edge(u, v, rng.gen_range(1..=3), p).unwrap()
+        };
+        for (part, inward) in [(&s_nodes, false), (&t_nodes, true)] {
+            let links = rng.gen_range(7..=14);
+            for i in 0..links {
+                // a path first, so each side is connected
+                let (u, v) = if i + 1 < part.len() {
+                    (part[i], part[i + 1])
+                } else {
+                    let u = rng.gen_range(0..part.len());
+                    let v = (u + rng.gen_range(1..part.len())) % part.len();
+                    (part[u], part[v])
+                };
+                // the source side points away from s, the sink side toward t
+                let (u, v) = if inward { (v, u) } else { (u, v) };
+                link(&mut b, u, v, &mut rng);
+            }
+        }
+        let k = rng.gen_range(2..=3);
+        let cut: Vec<_> = (0..k)
+            .map(|_| {
+                let u = s_nodes[rng.gen_range(0..s_nodes.len())];
+                let v = t_nodes[rng.gen_range(0..t_nodes.len())];
+                link(&mut b, u, v, &mut rng)
+            })
+            .collect();
+        let net = b.build();
+        let demand = FlowDemand::new(s_nodes[0], t_nodes[0], 2);
+        let set =
+            crate::bottleneck::validate_bottleneck_set(&net, demand.source, demand.sink, &cut)
+                .unwrap();
+        let opts = CalcOptions {
+            assignment_model: model,
+            ..CalcOptions::default()
+        };
+        Split::new(&net, &demand, &set, edge_weights_exact, &opts).unwrap()
+    }
+
+    /// Every random split of the subcube tests, with the options it was
+    /// built under.
+    fn random_splits() -> Vec<(Split<BigRational>, CalcOptions)> {
+        let mut out = Vec::new();
+        for seed in 0..4 {
+            for kind in [GraphKind::Directed, GraphKind::Undirected] {
+                for model in [AssignmentModel::ForwardOnly, AssignmentModel::Net] {
+                    let split = random_split(seed, kind, model);
+                    let opts = CalcOptions {
+                        assignment_model: model,
+                        parallel: false,
+                        ..CalcOptions::default()
+                    };
+                    out.push((split, opts));
+                }
+            }
+        }
+        out
+    }
+
+    /// The spectrum summed from per-configuration verdicts of every lane,
+    /// no sweep code involved.
+    fn reference_masses(side: &Side, assignments: &[Assignment]) -> Vec<BigRational> {
+        let weights = edge_weights_exact(&side.net);
+        let m = weights.len();
+        let mut o = SideOracle::new(side, assignments, SolverKind::Dinic).unwrap();
+        let mut mass = vec![BigRational::zero(); 1 << assignments.len()];
+        for c in 0..1u64 << m {
+            let mut realized = 0;
+            for j in 0..assignments.len() {
+                o.set_assignment(j);
+                realized |= usize::from(o.admits(EdgeMask::from_bits(c, m))) << j;
+            }
+            let mut w = BigRational::one();
+            for (i, p) in weights.iter().enumerate() {
+                w = w.mul(if c >> i & 1 == 1 { &p.0 } else { &p.1 });
+            }
+            mass[realized] = mass[realized].add(&w);
+        }
+        mass
+    }
+
+    fn sides<W>(split: &Split<W>) -> [&Side; 2] {
+        [&split.dec.side_s, &split.dec.side_t]
+    }
+
+    #[test]
+    fn subcube_masses_match_per_configuration_verdicts() {
+        let mut closed = 0;
+        for (split, opts) in random_splits() {
+            for side in sides(&split) {
+                let m = side.net.edge_count();
+                assert!((7..=14).contains(&m), "{m} links");
+                let reference = reference_masses(side, &split.assignments);
+                let exact = edge_weights_exact(&side.net);
+                let (sp, _) =
+                    RealizationSpectrum::sweep(side, &split.assignments, &exact, &opts).unwrap();
+                assert_eq!(sp.mass, reference, "exact masses, {m} links");
+                let float = edge_weights(&side.net);
+                let unlimited = BudgetSentinel::unlimited();
+                let (fl, stats) =
+                    sweep_side(side, &split.assignments, &float, &opts, &unlimited, None).unwrap();
+                for (f, e) in fl.mass.iter().zip(&reference) {
+                    assert!((f - e.to_f64()).abs() < 1e-12, "{f} vs {}", e.to_f64());
+                }
+                // fewer checks than configurations times live lanes: some
+                // block closed
+                closed += usize::from(stats.configs < (fl.live.len() as u64) << m);
+            }
+        }
+        assert!(closed > 0, "no side closed a block");
+    }
+
+    /// Round-trips a side state through the checkpoint text.
+    fn through_text(ck: SideCheckpoint) -> SideCheckpoint {
+        use crate::checkpoint::{Checkpoint, CheckpointKind};
+        let text = Checkpoint {
+            fingerprint: 1,
+            reduce_shape: None,
+            radices: None,
+            kind: CheckpointKind::Bottleneck {
+                cut: vec![],
+                side_s: ck.clone(),
+                side_t: ck,
+            },
+        }
+        .to_text();
+        assert!(
+            text.contains("\norder bfs\n"),
+            "sides over six links carry the marker"
+        );
+        match Checkpoint::from_text(&text).unwrap().kind {
+            CheckpointKind::Bottleneck { side_s, .. } => side_s,
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn subcube_resume_is_bit_identical() {
+        use crate::budget::Budget;
+        for (split, opts) in random_splits().into_iter().step_by(3) {
+            for side in sides(&split) {
+                let weights = edge_weights(&side.net);
+                let sweep = |sentinel: &BudgetSentinel, resume| {
+                    sweep_side(side, &split.assignments, &weights, &opts, sentinel, resume).unwrap()
+                };
+                let (full, stats) = sweep(&BudgetSentinel::unlimited(), None);
+                let bits = |mass: &[f64]| mass.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for slice in [1, 37, 100, 1000] {
+                    let budget = Budget {
+                        max_configs: Some(slice),
+                        ..Default::default()
+                    };
+                    let mut state = None;
+                    let mut rounds = 0;
+                    let done = loop {
+                        let (ck, _) = sweep(&budget.start(), state.take());
+                        if ck.cursor.remaining.is_empty() {
+                            break ck;
+                        }
+                        state = Some(through_text(ck));
+                        rounds += 1;
+                    };
+                    assert!(
+                        rounds > 0 || stats.configs <= slice,
+                        "slice {slice} must interrupt"
+                    );
+                    assert_eq!(bits(&done.mass), bits(&full.mass), "slice {slice}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn subcube_budget_debits_the_checks_made() {
+        use crate::budget::Budget;
+        // the terminal is the one attach point: every configuration of the
+        // eight links realizes both assignments, so the root block closes
+        let mut b = NetworkBuilder::new(GraphKind::Directed);
+        let n = b.add_nodes(4);
+        for i in 0..8 {
+            b.add_edge(n[i % 4], n[(i + 1) % 4], 1, 0.1).unwrap();
+        }
+        let side = Side {
+            net: b.build(),
+            edge_origin: vec![],
+            terminal: n[0],
+            attach: vec![n[0]],
+            is_source_side: true,
+        };
+        let assignments = vec![asg(&[1]), asg(&[2])];
+        let exact = edge_weights_exact(&side.net);
+        let budget = Budget {
+            max_configs: Some(1 << 20),
+            ..Default::default()
+        };
+        let sentinel = budget.start();
+        let (ck, stats) = sweep_side(
+            &side,
+            &assignments,
+            &exact,
+            &CalcOptions::default(),
+            &sentinel,
+            None,
+        )
+        .unwrap();
+        assert!(ck.cursor.remaining.is_empty());
+        assert_eq!(stats.configs, 4, "two lanes, each tested at both extremes");
+        assert_eq!(sentinel.used(), stats.configs);
+        assert_eq!(ck.mass[0b11], BigRational::one());
+        // a side that splits down to leaves debits its checks too
+        for (split, opts) in random_splits().into_iter().take(2) {
+            for side in sides(&split) {
+                let sentinel = budget.start();
+                let weights = edge_weights(&side.net);
+                let (ck, stats) =
+                    sweep_side(side, &split.assignments, &weights, &opts, &sentinel, None).unwrap();
+                assert!(ck.cursor.remaining.is_empty());
+                assert_eq!(sentinel.used(), stats.configs);
+            }
+        }
+    }
+
+    /// Fanned out over the threads `RAYON_NUM_THREADS` allows, a side's
+    /// pieces are aligned blocks and its masses agree with the serial run.
+    #[test]
+    fn subcube_fan_out_agrees_with_the_serial_sweep() {
+        for (split, opts) in random_splits() {
+            let fanned = CalcOptions {
+                parallel: true,
+                parallel_threshold: 0,
+                ..opts.clone()
+            };
+            for side in sides(&split) {
+                let weights = edge_weights(&side.net);
+                let run = |opts: &CalcOptions| {
+                    RealizationSpectrum::sweep(side, &split.assignments, &weights, opts)
+                        .unwrap()
+                        .0
+                };
+                let (a, b) = (run(&opts), run(&fanned));
+                for (x, y) in a.mass.iter().zip(&b.mass) {
+                    assert!((x - y).abs() < 1e-12, "{x} vs {y}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_sides_keep_their_link_order_and_large_ones_go_nearest_first() {
+        let side = side_with_three_links();
+        assert_eq!(side_order(&side), vec![0, 1, 2]);
+        // a path s = 0 - 1 - 2 - ... - 8, attach at 0: link i is i hops out
+        let mut b = NetworkBuilder::new(GraphKind::Undirected);
+        let n = b.add_nodes(9);
+        for i in (0..8).rev() {
+            b.add_edge(n[i], n[i + 1], 1, 0.1).unwrap();
+        }
+        let path = Side {
+            net: b.build(),
+            edge_origin: vec![],
+            terminal: n[0],
+            attach: vec![n[0]],
+            is_source_side: true,
+        };
+        // link 7 joins nodes 0 and 1: nearest, so the highest index bit
+        assert_eq!(side_order(&path), (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!     naive sweep, with perfect links pinned alive;
 //!   - `MixedWalk`, the mixed-radix reflected Gray code of a multi-state
 //!     naive sweep (one tranche arc flips per step);
-//!   - `CountWalk`, plain counting over a side's own links, the order side
-//!     checkpoints index;
+//!   - `CountWalk`, plain counting over a side's own links in a fixed link
+//!     order (nearest the terminals on the highest bit for sides of more
+//!     than six links), the order side checkpoints index;
 //! - a **visitor** (`Visitor`), what is accumulated per configuration:
 //!   - `Sums`, the feasible and explored probability sums;
 //!   - `Masses`, the spectrum mass per realization mask;
@@ -27,10 +28,11 @@
 //! single lane sees the same mask sequence whatever the lane count, then
 //! hands the visitor the batch's realized lane masks in ascending index
 //! order. Only the driver handles resume ranges, budget grants (one unit
-//! per configuration per lane), batch slicing, the per-lane certificate
-//! caches, warm-flow invalidation, the rayon fan-out and the merge.
+//! per lane check), batch slicing, subcube closure, the per-lane
+//! certificate caches, warm-flow invalidation, the rayon fan-out and the
+//! merge.
 //!
-//! Three exact optimizations ride on the driver:
+//! Four exact optimizations ride on `drive`:
 //!
 //! 1. **Certificate caching** ([`maxflow::certcache`]): each solver verdict is
 //!    generalized into a monotonicity certificate (flow support / saturated
@@ -58,7 +60,25 @@
 //!    pieces; each rayon worker owns a *clone* of the oracle, its own caches,
 //!    and a forked visitor, merged in piece order at the end.
 //!
-//! All three are behavior-preserving: certificates answer exactly what the
+//! 4. **Subcube closure** (walks with [`Walk::cube_weights`], the side
+//!    spectra's `CountWalk`): every aligned block of `2^j` indices is a
+//!    subcube whose free links are the low `j` index bits. Feasibility is
+//!    monotone in the alive set, so a lane feasible with every free link down
+//!    (the block's bottom) or infeasible with every free link up (its top)
+//!    is constant on the block. `drive` takes each range as maximal
+//!    aligned blocks. A block of more than [`LEAF`] configurations tests each
+//!    undecided lane at the extremes it does not share with its parent (both,
+//!    for a piece of a range; one new configuration per lane for a half),
+//!    drops the lanes they decide, and closes once none is left: the visitor
+//!    gets the block's mass — the product of its fixed links' weights, in
+//!    ascending bit order — in one step. Otherwise the block splits in two.
+//!    Leaf blocks test no extremes and run the per-configuration loop above
+//!    for the lanes still undecided. A side of at most six links is one leaf
+//!    with every lane undecided: exactly the walk without closure. Closure
+//!    decides from exact verdicts only, so the blocks a sweep closes, and
+//!    with them every mass, do not depend on the cache or the warm flow.
+//!
+//! All of these are behavior-preserving: certificates answer exactly what the
 //! solver would, the weight factorization is algebraically identical, and
 //! the parallel merge only regroups additions (bit-identical for exact
 //! weights, within rounding for `f64`). Runs change no state either: solver
@@ -72,13 +92,23 @@
 //!
 //! ## Anytime operation
 //!
-//! The driver polls a [`BudgetSentinel`] before every batch. When the budget
-//! runs out the sweep stops at a clean cursor and returns a
+//! `drive` polls a [`BudgetSentinel`] before every batch and every block
+//! test. The budget counts lane checks: one unit per configuration and
+//! undecided lane in a batch, and one per extreme test; a closed block
+//! debits the tests it cost, not the configurations it covers, so
+//! [`SweepStats::configs`] counts exactly what the budget was charged. When
+//! the budget runs out the sweep stops at a clean cursor and returns a
 //! `PartialSweep` whose `remaining` ranges describe exactly which indices
-//! were never examined. Passing it back in continues the walk; for the
-//! *serial* engine every accumulation is replayed in the identical order, so
-//! an interrupted-and-resumed run reproduces the uninterrupted result **bit
-//! for bit**. Unbudgeted callers run the same driver under
+//! were never examined: the rest of the current block and the blocks after
+//! it. Passing it back in continues the walk. A resumed range is taken as
+//! the maximal aligned blocks of what remains, which are blocks of the
+//! uninterrupted walk (or parts of one leaf), so it re-tests the extremes
+//! above its cursor but closes and visits the same blocks in the same order;
+//! a worker that was granted anything runs until it has examined one
+//! configuration, so a resume always makes progress. For the *serial*
+//! engine every accumulation is therefore replayed in the identical order,
+//! and an interrupted-and-resumed run reproduces the uninterrupted result
+//! **bit for bit**. Unbudgeted callers run the same `drive` under
 //! [`BudgetSentinel::unlimited`], so there is exactly one enumeration code
 //! path.
 
@@ -99,6 +129,15 @@ const BLOCK_BITS: usize = 12;
 /// Minimum enumeration exponent before chunked parallelism pays for itself.
 const PARALLEL_MIN_BITS: usize = 10;
 
+/// Free links of a leaf block of a walk with subcubes: a block of `2^this`
+/// indices tests no extremes of its own, and its undecided lanes answer
+/// every configuration (as [`maxflow::CertCache::run`] does over a
+/// [`Block`]). A side sweep over at most this many links is one leaf.
+pub(crate) const LEAF_LINKS: usize = 6;
+
+/// Indices of a leaf block.
+const LEAF: u64 = 1 << LEAF_LINKS;
+
 /// Configurations examined between budget polls: large enough that the poll
 /// (an atomic add) is noise next to a max-flow call, small enough that a
 /// deadline or cancellation is honored promptly. Multi-lane sweeps also
@@ -110,8 +149,10 @@ const BATCH: u64 = 256;
 /// across the two sides of a bottleneck decomposition.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepStats {
-    /// Configurations tested (for side sweeps: configuration × assignment
-    /// pairs — the solver-call space).
+    /// Checks made: configuration × assignment (lane) pairs answered, by
+    /// the cache or the solver. A side sweep that closes a subcube counts
+    /// the extreme tests that closed it, not the configurations it covers;
+    /// the budget is charged the same count.
     pub configs: u64,
     /// Max-flow solver invocations actually performed.
     pub solver_calls: u64,
@@ -134,7 +175,7 @@ impl SweepStats {
         self.feasible_hits + self.infeasible_hits
     }
 
-    /// Fraction of tested configurations answered from the cache.
+    /// Fraction of checks answered from the cache.
     pub fn hit_rate(&self) -> f64 {
         if self.configs == 0 {
             0.0
@@ -330,18 +371,52 @@ fn answer<W, K: Walk<W>, O: SweepOracle>(
         stats.infeasible_hits += u64::from(k) - found;
         return (k as usize, feasible);
     }
+    (
+        1,
+        u64::from(solve(oracle, cache, bits, walk.edge_count(), stats)),
+    )
+}
+
+/// One configuration's verdict on the oracle's current lane: cached when a
+/// certificate decides it, else solved.
+fn check<O: SweepOracle>(
+    oracle: &mut O,
+    cache: &mut Option<CertCache>,
+    bits: u64,
+    edges: usize,
+    stats: &mut SweepStats,
+) -> bool {
+    if let Some(v) = cache.as_mut().and_then(|cache| cache.classify(bits)) {
+        stats.configs += 1;
+        if v {
+            stats.feasible_hits += 1;
+        } else {
+            stats.infeasible_hits += 1;
+        }
+        return v;
+    }
+    solve(oracle, cache, bits, edges, stats)
+}
+
+/// One solver verdict, whose certificate goes into the cache.
+fn solve<O: SweepOracle>(
+    oracle: &mut O,
+    cache: &mut Option<CertCache>,
+    bits: u64,
+    edges: usize,
+    stats: &mut SweepStats,
+) -> bool {
     stats.configs += 1;
     stats.solver_calls += 1;
-    let mask = EdgeMask::from_bits(bits, walk.edge_count());
-    let ok = match cache {
+    let mask = EdgeMask::from_bits(bits, edges);
+    match cache {
         Some(cache) => {
             let (ok, cert) = oracle.test_config(mask, true);
             cache.record(cert);
             ok
         }
         None => oracle.test_config(mask, false).0,
-    };
-    (1, u64::from(ok))
+    }
 }
 
 /// Drops empty ranges, sorts, and merges adjacent/overlapping half-open
@@ -382,6 +457,30 @@ fn split_ranges(ranges: &[(u64, u64)], parts: usize) -> Vec<(u64, u64)> {
 /// Total length of a set of half-open ranges.
 fn ranges_len(ranges: &[(u64, u64)]) -> u64 {
     ranges.iter().map(|&(lo, hi)| hi - lo).sum()
+}
+
+/// Cuts `lo..hi` the way a walk with subcubes takes it: the part of an
+/// aligned [`LEAF`]-index block that the range covers only in part is one
+/// leaf piece, and the rest are maximal aligned blocks of at most `cap`
+/// indices (a power of two, at least [`LEAF`]).
+fn cube_pieces(lo: u64, hi: u64, cap: u64) -> Vec<(u64, u64)> {
+    let mut out = Vec::new();
+    let mut c = lo;
+    while c < hi {
+        let end = if c & (LEAF - 1) != 0 || hi - c < LEAF {
+            hi.min((c | (LEAF - 1)) + 1)
+        } else {
+            let align = match c & c.wrapping_neg() {
+                0 => u64::MAX,
+                low => low,
+            };
+            let fits = 1 << (63 - (hi - c).leading_zeros());
+            c + align.min(fits).min(cap)
+        };
+        out.push((c, end));
+        c = end;
+    }
+    out
 }
 
 /// Partial-sum strategy of a sweep: compensated for `f64`, plain ring
@@ -502,6 +601,12 @@ pub(crate) trait Walk<W>: Sync {
     /// The aligned 64-configuration block holding index `c`, whose
     /// configuration is `bits`, when the walk has such blocks.
     fn block(&self, c: u64, bits: u64) -> Option<Block>;
+    /// The `(alive, failed)` weights of the index bits, when every aligned
+    /// block of `2^j` indices is a subcube whose free links are the low `j`
+    /// index bits; [`drive`] then closes the blocks their extremes decide.
+    fn cube_weights(&self) -> Option<&[(W, W)]> {
+        None
+    }
 }
 
 /// Split-product weight table over binary enumeration bits:
@@ -509,16 +614,16 @@ pub(crate) trait Walk<W>: Sync {
 /// precomputed once (two multiplications per entry) and the high product
 /// changes only once per `2^low_bits` block. Division-free, so exact for any
 /// [`Weight`].
-struct WeightTable<'a, W> {
+struct WeightTable<W> {
     /// `(alive, failed)` pair of each enumeration bit.
-    weights: &'a [(W, W)],
+    weights: Vec<(W, W)>,
     low: Vec<W>,
     low_bits: usize,
     low_mask: u64,
 }
 
-impl<'a, W: Weight> WeightTable<'a, W> {
-    fn new(weights: &'a [(W, W)]) -> Self {
+impl<W: Weight> WeightTable<W> {
+    fn new(weights: Vec<(W, W)>) -> Self {
         let b = BLOCK_BITS.min(weights.len());
         let mut low = vec![W::one()];
         for w in weights.iter().take(b) {
@@ -541,11 +646,7 @@ impl<'a, W: Weight> WeightTable<'a, W> {
 
     /// Product over the bits of `g` at positions `low_bits..`.
     fn high(&self, g: u64) -> W {
-        let mut p = W::one();
-        for (i, w) in self.weights.iter().enumerate().skip(self.low_bits) {
-            p = p.mul(if g >> i & 1 == 1 { &w.0 } else { &w.1 });
-        }
-        p
+        fixed_mass(&self.weights, g, self.low_bits)
     }
 
     /// One past the last index of `c`'s `2^low_bits`-aligned block. The high
@@ -561,6 +662,17 @@ impl<'a, W: Weight> WeightTable<'a, W> {
     }
 }
 
+/// The product, in ascending bit order, of the weights the bits `from..` of
+/// `g` select: the high factor of a configuration's weight, and the mass of
+/// the subcube of the `2^from` indices that share those bits.
+fn fixed_mass<W: Weight>(weights: &[(W, W)], g: u64, from: usize) -> W {
+    let mut p = W::one();
+    for (i, w) in weights.iter().enumerate().skip(from) {
+        p = p.mul(if g >> i & 1 == 1 { &w.0 } else { &w.1 });
+    }
+    p
+}
+
 /// Reflected binary Gray code over the fallible links of a naive sweep:
 /// compact bit `j` is network edge `fallible[j]`, and the `pinned` edges
 /// are alive in every mask. Successive codes differ in one link.
@@ -568,7 +680,7 @@ pub(crate) struct GrayWalk<'a, W> {
     fallible: &'a [usize],
     pinned: u64,
     edge_count: usize,
-    table: WeightTable<'a, W>,
+    table: WeightTable<W>,
     /// The edges of compact bits `0..6`, when there are six.
     low: Option<[u8; 6]>,
 }
@@ -590,7 +702,7 @@ impl<'a, W: Weight> GrayWalk<'a, W> {
             fallible,
             pinned,
             edge_count,
-            table: WeightTable::new(weights),
+            table: WeightTable::new(weights.to_vec()),
             low,
         }
     }
@@ -672,23 +784,60 @@ impl<W: Weight> Walk<W> for GrayWalk<'_, W> {
     }
 }
 
-/// Plain counting over a side's own links: index `c` is the edge mask `c`.
-/// Side checkpoints record their ranges in this order.
-pub(crate) struct CountWalk<'a, W> {
-    table: WeightTable<'a, W>,
+/// Plain counting over a side's own links in a fixed link order: bit `j` of
+/// index `c` is the state of link `order[j]`. Side checkpoints record their
+/// ranges in this order. Every aligned block of `2^j` indices is a subcube:
+/// the links of the low `j` bits are free and the others stay put, which is
+/// what lets [`drive`] close whole blocks.
+pub(crate) struct CountWalk<W> {
+    /// `order[j]`: the link of index bit `j`.
+    order: Vec<usize>,
+    /// Weights by index bit.
+    table: WeightTable<W>,
+    /// Edge bits of each value of the six low index bits.
+    low_bits: [u64; 64],
+    /// The links of index bits `0..6`, when there are six.
+    low: Option<[u8; 6]>,
 }
 
-impl<'a, W: Weight> CountWalk<'a, W> {
-    /// `weights[i]` is the `(alive, failed)` pair of side link `i`.
-    pub(crate) fn new(weights: &'a [(W, W)]) -> Self {
+impl<W: Weight> CountWalk<W> {
+    /// `weights[i]` is the `(alive, failed)` pair of side link `i`, and
+    /// `order` a permutation of the links: index bit `j` is link `order[j]`.
+    pub(crate) fn new(weights: &[(W, W)], order: Vec<usize>) -> Self {
+        assert_eq!(weights.len(), order.len(), "one weight pair per link");
+        let table = WeightTable::new(order.iter().map(|&e| weights[e].clone()).collect());
+        let six = (1u64 << order.len().min(6)) - 1;
+        let low_bits = std::array::from_fn(|q| scatter(&order, q as u64 & six));
+        let low = order.get(..6).map(|f| std::array::from_fn(|j| f[j] as u8));
         CountWalk {
-            table: WeightTable::new(weights),
+            order,
+            table,
+            low_bits,
+            low,
         }
     }
 }
 
-impl<W: Weight> Walk<W> for CountWalk<'_, W> {
-    type Pos = u64;
+/// The edge bits of index `c` when index bit `j` is link `order[j]`.
+fn scatter(order: &[usize], c: u64) -> u64 {
+    let mut bits = 0;
+    let mut rest = c;
+    while rest != 0 {
+        bits |= 1 << order[rest.trailing_zeros() as usize];
+        rest &= rest - 1;
+    }
+    bits
+}
+
+/// A [`CountWalk`] cursor: the index, and the edge bits of its index bits
+/// `6..`.
+pub(crate) struct CountPos {
+    c: u64,
+    high: u64,
+}
+
+impl<W: Weight> Walk<W> for CountWalk<W> {
+    type Pos = CountPos;
 
     fn width(&self) -> usize {
         self.table.width()
@@ -710,22 +859,31 @@ impl<W: Weight> Walk<W> for CountWalk<'_, W> {
         self.table.block_end(c)
     }
 
-    fn seek(&self, c: u64) -> u64 {
-        c
+    fn seek(&self, c: u64) -> CountPos {
+        CountPos {
+            c,
+            high: scatter(&self.order, c & !63),
+        }
     }
 
     #[inline]
-    fn step(&self, pos: &mut u64, next: u64) {
-        *pos = next;
+    fn step(&self, pos: &mut CountPos, next: u64) {
+        if next >> 6 != pos.c >> 6 {
+            pos.high = scatter(&self.order, next & !63);
+        }
+        pos.c = next;
     }
 
     #[inline]
-    fn config(&self, &c: &u64) -> (u64, usize) {
-        (c, (c & self.table.low_mask) as usize)
+    fn config(&self, pos: &CountPos) -> (u64, usize) {
+        (
+            pos.high | self.low_bits[(pos.c & 63) as usize],
+            (pos.c & self.table.low_mask) as usize,
+        )
     }
 
-    fn high(&self, &c: &u64) -> W {
-        self.table.high(c)
+    fn high(&self, pos: &CountPos) -> W {
+        self.table.high(pos.c)
     }
 
     fn low(&self) -> &[W] {
@@ -734,8 +892,11 @@ impl<W: Weight> Walk<W> for CountWalk<'_, W> {
 
     #[inline]
     fn block(&self, c: u64, bits: u64) -> Option<Block> {
-        (self.table.width() >= 6)
-            .then(|| Block::new(c >> 6, bits, [0, 1, 2, 3, 4, 5], BlockOrder::Counting))
+        Some(Block::new(c >> 6, bits, self.low?, BlockOrder::Counting))
+    }
+
+    fn cube_weights(&self) -> Option<&[(W, W)]> {
+        Some(&self.table.weights)
     }
 }
 
@@ -1056,6 +1217,10 @@ pub(crate) trait Visitor<W>: Send + Sync + Sized {
     fn fork(&self, lo: u64, hi: u64) -> Self;
     /// Folds in one batch, in ascending index order.
     fn visit(&mut self, batch: &Batch<'_, W>);
+    /// Folds in the closed block of indices `lo..hi`, every configuration of
+    /// which realizes `realized`, with their total weight `mass`; `track` as
+    /// in [`Batch`].
+    fn close(&mut self, lo: u64, hi: u64, realized: u32, mass: W, track: bool);
     /// Folds in a worker's accumulation; workers merge in range order.
     fn merge(&mut self, other: Self);
 }
@@ -1099,6 +1264,15 @@ impl<W: Weight, A: SweepAccumulator<W>> Visitor<W> for Sums<A> {
         }
     }
 
+    fn close(&mut self, _lo: u64, _hi: u64, realized: u32, mass: W, track: bool) {
+        if track {
+            self.explored.add(mass.clone());
+        }
+        if realized != 0 {
+            self.feasible.add(mass);
+        }
+    }
+
     fn merge(&mut self, other: Self) {
         self.feasible.merge(other.feasible);
         self.explored.merge(other.explored);
@@ -1120,6 +1294,11 @@ impl<W: Weight> Visitor<W> for Masses<W> {
             let slot = &mut self.0[r as usize];
             *slot = slot.add(&b.weight(i));
         }
+    }
+
+    fn close(&mut self, _lo: u64, _hi: u64, realized: u32, mass: W, _track: bool) {
+        let slot = &mut self.0[realized as usize];
+        *slot = slot.add(&mass);
     }
 
     fn merge(&mut self, other: Self) {
@@ -1154,6 +1333,11 @@ impl<W> Visitor<W> for Masks {
     fn visit(&mut self, b: &Batch<'_, W>) {
         let at = (b.c0 - self.base) as usize;
         self.masks[at..at + b.realized.len()].copy_from_slice(b.realized);
+    }
+
+    fn close(&mut self, lo: u64, hi: u64, realized: u32, _mass: W, _track: bool) {
+        let at = (lo - self.base) as usize;
+        self.masks[at..at + (hi - lo) as usize].fill(realized);
     }
 
     fn merge(&mut self, other: Self) {
@@ -1256,7 +1440,19 @@ where
     for (seed, w) in seeds.iter_mut().zip(&warm) {
         seed.extend(w.iter().copied().take(CERTIFICATE_CACHE_SIZE));
     }
-    let results: Vec<_> = split_ranges(&work, sweep_threads() * 8)
+    let parts = sweep_threads() * 8;
+    let pieces = match walk.cube_weights() {
+        // fan-out pieces of a walk with subcubes are aligned blocks
+        Some(_) => {
+            let piece = (ranges_len(&work) / parts as u64).max(LEAF);
+            let cap = 1 << (63 - piece.leading_zeros());
+            work.iter()
+                .flat_map(|&(lo, hi)| cube_pieces(lo, hi, cap))
+                .collect()
+        }
+        None => split_ranges(&work, parts),
+    };
+    let results: Vec<_> = pieces
         .into_par_iter()
         .map(|(lo, hi)| {
             let mut part = acc.fork(lo, hi);
@@ -1287,11 +1483,33 @@ where
     (state, stats)
 }
 
-/// One worker's oracle clone, per-lane certificate caches, and counters.
+/// One worker's oracle clone, per-lane certificate caches, counters, and
+/// batch buffers.
 struct Worker<O> {
     oracle: O,
     caches: Vec<Option<CertCache>>,
     stats: SweepStats,
+    bits: [u64; BATCH as usize],
+    low_index: [usize; BATCH as usize],
+    realized: [u32; BATCH as usize],
+    /// The budget has granted this worker something.
+    granted: bool,
+    /// This worker has examined a configuration: visited one, or closed a
+    /// block.
+    moved: bool,
+}
+
+/// Which extreme of a block's subcube its parent already tested.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shared {
+    /// Neither: the block is a piece of its range, and tests both.
+    Neither,
+    /// The lower half shares its parent's bottom, where every undecided lane
+    /// is infeasible, and tests its top.
+    Bottom,
+    /// The upper half shares its parent's top, where every undecided lane is
+    /// feasible, and tests its bottom.
+    Top,
 }
 
 impl<O: SweepOracle + Clone> Worker<O> {
@@ -1316,6 +1534,29 @@ impl<O: SweepOracle + Clone> Worker<O> {
             oracle,
             caches,
             stats: SweepStats::default(),
+            bits: [0; BATCH as usize],
+            low_index: [0; BATCH as usize],
+            realized: [0; BATCH as usize],
+            granted: false,
+            moved: false,
+        }
+    }
+
+    /// Asks `sentinel` for up to `want` batches of `unit` checks each and
+    /// returns how many the worker may run. A worker that holds a grant but
+    /// has examined no configuration yet runs one batch even when refused,
+    /// unless the run was interrupted: a resumed block re-tests the
+    /// extremes of the blocks above its cursor, and a resume must make
+    /// progress however small its allowance. Walks without subcubes examine
+    /// a configuration with their first grant, so this never applies to
+    /// them.
+    fn grant(&mut self, sentinel: &BudgetSentinel, unit: u64, want: u64) -> u64 {
+        let n = sentinel.grant(unit, want);
+        if n > 0 {
+            self.granted = true;
+            n
+        } else {
+            u64::from(self.granted && !self.moved && !sentinel.interrupted())
         }
     }
 
@@ -1334,12 +1575,23 @@ impl<O: SweepOracle + Clone> Worker<O> {
         K: Walk<W>,
         V: Visitor<W>,
     {
+        let all = ((1u64 << lanes.len()) - 1) as u32;
         for (k, &(lo, hi)) in ranges.iter().enumerate() {
             // warm flows never survive a range boundary (worker start and
             // every resume gap) — the verdict stream stays independent of
             // how the walk was sliced
             self.oracle.invalidate_warm();
-            if let Some(stop) = self.range(walk, lanes, lo, hi, sentinel, visitor) {
+            let stop = match walk.cube_weights() {
+                // every lane is undecided at the start of a piece
+                Some(weights) => cube_pieces(lo, hi, u64::MAX)
+                    .into_iter()
+                    .find_map(|(a, b)| {
+                        let piece = (a, b, Shared::Neither);
+                        self.block(walk, weights, lanes, piece, (all, 0), sentinel, visitor)
+                    }),
+                None => self.range(walk, lanes, (all, 0), lo, hi, sentinel, visitor),
+            };
+            if let Some(stop) = stop {
                 let mut rest = vec![(stop, hi)];
                 rest.extend_from_slice(&ranges[k + 1..]);
                 return rest;
@@ -1348,14 +1600,87 @@ impl<O: SweepOracle + Clone> Worker<O> {
         Vec::new()
     }
 
-    /// Walks `lo..hi` in batches that never straddle a weight block, asking
-    /// the budget for `lanes.len()` units per configuration before each.
-    /// Returns `Some(cursor)` when the budget stopped the walk with
-    /// `cursor..hi` unexamined, `None` when done.
+    /// Sweeps the piece `lo..hi` of a walk with subcubes (see
+    /// [`cube_pieces`]) for the lanes `open` (bit `p` for lane `lanes[p]`)
+    /// that its ancestors left undecided; `fixed` holds the realized bits of
+    /// the lanes they decided feasible. A piece of at most [`LEAF`] indices
+    /// answers every configuration for the open lanes. A larger one, an
+    /// aligned block, tests each open lane at the extremes of its subcube
+    /// (every free link down, every free link up) that it does not share
+    /// with its parent, one budget unit a test. A lane feasible at the
+    /// bottom or infeasible at the top is constant on the block, so it
+    /// leaves `open`; once none is left, the block closes with one visit of
+    /// its whole mass, and otherwise its halves go on. Returns
+    /// `Some(cursor)` when the budget stopped the walk at `cursor`.
+    #[allow(clippy::too_many_arguments)]
+    fn block<W, K, V>(
+        &mut self,
+        walk: &K,
+        weights: &[(W, W)],
+        lanes: &[usize],
+        (lo, hi, shared): (u64, u64, Shared),
+        (mut open, mut fixed): (u32, u32),
+        sentinel: &BudgetSentinel,
+        visitor: &mut V,
+    ) -> Option<u64>
+    where
+        W: Weight,
+        K: Walk<W>,
+        V: Visitor<W>,
+    {
+        if hi - lo <= LEAF {
+            return self.range(walk, lanes, (open, fixed), lo, hi, sentinel, visitor);
+        }
+        let tests = if shared == Shared::Neither { 2 } else { 1 };
+        let checks = u64::from(open.count_ones()) * tests;
+        if checks > 0 && self.grant(sentinel, checks, 1) == 0 {
+            return Some(lo);
+        }
+        let bottom = walk.config(&walk.seek(lo)).0;
+        let top = walk.config(&walk.seek(hi - 1)).0;
+        let edges = walk.edge_count();
+        let mut rest = open;
+        while rest != 0 {
+            let p = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            self.oracle.set_lane(lanes[p]);
+            let (oracle, cache, stats) = (&mut self.oracle, &mut self.caches[p], &mut self.stats);
+            let low = shared != Shared::Bottom && check(oracle, cache, bottom, edges, stats);
+            let high = shared == Shared::Top || check(oracle, cache, top, edges, stats);
+            if low {
+                fixed |= 1 << lanes[p];
+            }
+            if low || !high {
+                open &= !(1 << p);
+            }
+        }
+        if open == 0 {
+            let free = (hi - lo).trailing_zeros() as usize;
+            let track = !sentinel.is_unlimited();
+            visitor.close(lo, hi, fixed, fixed_mass(weights, lo, free), track);
+            self.moved = true;
+            return None;
+        }
+        let mid = lo + (hi - lo) / 2;
+        [(lo, mid, Shared::Bottom), (mid, hi, Shared::Top)]
+            .into_iter()
+            .find_map(|half| {
+                self.block(walk, weights, lanes, half, (open, fixed), sentinel, visitor)
+            })
+    }
+
+    /// Walks `lo..hi` in batches that never straddle a weight block for the
+    /// lanes `open` (bit `p` for lane `lanes[p]`), every configuration also
+    /// realizing `fixed`, asking the budget for one unit per open lane and
+    /// configuration before each batch. Returns `Some(cursor)` when the
+    /// budget stopped the walk with `cursor..hi` unexamined, `None` when
+    /// done.
+    #[allow(clippy::too_many_arguments)]
     fn range<W, K, V>(
         &mut self,
         walk: &K,
         lanes: &[usize],
+        (open, fixed): (u32, u32),
         lo: u64,
         hi: u64,
         sentinel: &BudgetSentinel,
@@ -1366,21 +1691,21 @@ impl<O: SweepOracle + Clone> Worker<O> {
         K: Walk<W>,
         V: Visitor<W>,
     {
-        let unit = lanes.len().max(1) as u64;
+        let unit = u64::from(open.count_ones().max(1));
         let track = !sentinel.is_unlimited();
-        let mut bits = [0u64; BATCH as usize];
-        let mut low_index = [0usize; BATCH as usize];
-        let mut realized = [0u32; BATCH as usize];
         let mut pos = walk.seek(lo);
         let mut c = lo;
         while c < hi {
             let end = walk.block_end(c).min(hi);
             let high = walk.high(&pos);
             while c < end {
-                let n = sentinel.grant(unit, (end - c).min(BATCH)) as usize;
+                let n = self.grant(sentinel, unit, (end - c).min(BATCH)) as usize;
                 if n == 0 {
                     return Some(c);
                 }
+                self.moved = true;
+                let (bits, low_index, realized) =
+                    (&mut self.bits, &mut self.low_index, &mut self.realized);
                 for i in 0..n {
                     (bits[i], low_index[i]) = walk.config(&pos);
                     let next = c + i as u64 + 1;
@@ -1388,8 +1713,11 @@ impl<O: SweepOracle + Clone> Worker<O> {
                         walk.step(&mut pos, next);
                     }
                 }
-                realized[..n].fill(0);
-                for (&lane, cache) in lanes.iter().zip(&mut self.caches) {
+                realized[..n].fill(fixed);
+                for (p, (&lane, cache)) in lanes.iter().zip(&mut self.caches).enumerate() {
+                    if open >> p & 1 == 0 {
+                        continue;
+                    }
                     self.oracle.set_lane(lane);
                     let mut i = 0;
                     while i < n {
@@ -1455,7 +1783,7 @@ mod tests {
         p
     }
 
-    fn table_lookup(wt: &WeightTable<'_, f64>, g: u64) -> f64 {
+    fn table_lookup(wt: &WeightTable<f64>, g: u64) -> f64 {
         wt.low[(g & wt.low_mask) as usize] * wt.high(g)
     }
 
@@ -1508,7 +1836,7 @@ mod tests {
         let weights: Vec<(f64, f64)> = (0..15)
             .map(|i| (0.9 - 0.01 * i as f64, 0.1 + 0.01 * i as f64))
             .collect();
-        let wt = WeightTable::new(&weights);
+        let wt = WeightTable::new(weights.clone());
         for g in [0u64, 1, 0xfff, 0x1000, 0x7abc, (1 << 15) - 1] {
             let direct = table_weight(&weights, g);
             assert!((table_lookup(&wt, g) - direct).abs() < 1e-15, "g={g:#x}");
@@ -1521,11 +1849,11 @@ mod tests {
     #[test]
     fn weight_table_handles_tiny_and_empty() {
         let weights: Vec<(f64, f64)> = vec![(0.8, 0.2)];
-        let wt = WeightTable::new(&weights);
+        let wt = WeightTable::new(weights.clone());
         assert!((table_lookup(&wt, 0) - 0.2).abs() < 1e-15);
         assert!((table_lookup(&wt, 1) - 0.8).abs() < 1e-15);
         let empty: Vec<(f64, f64)> = Vec::new();
-        let wt0 = WeightTable::new(&empty);
+        let wt0 = WeightTable::new(empty);
         assert!((table_lookup(&wt0, 0) - 1.0).abs() < 1e-15);
     }
 
@@ -1860,7 +2188,7 @@ mod tests {
         let (oracle, weights) = twelve_links();
         let fallible: Vec<usize> = (0..12).collect();
         let gray = GrayWalk::new(&fallible, 0, 12, &weights);
-        let count = CountWalk::new(&weights);
+        let count = CountWalk::new(&weights, (0..weights.len()).collect());
         let serial = SweepConfig {
             certificates: true,
             incremental: true,
@@ -1898,8 +2226,8 @@ mod tests {
         assert!((spectrum[1] - a).abs() < 1e-12);
     }
 
-    /// Hides a walk's blocks, so `drive` answers every configuration
-    /// with a `classify` call of its own.
+    /// Hides a walk's blocks, so `drive` answers every configuration it
+    /// does not close with a `classify` call of its own.
     struct Opaque<'a, K>(&'a K);
 
     impl<W: Weight, K: Walk<W>> Walk<W> for Opaque<'_, K> {
@@ -1947,6 +2275,10 @@ mod tests {
 
         fn block(&self, _c: u64, _bits: u64) -> Option<Block> {
             None
+        }
+
+        fn cube_weights(&self) -> Option<&[(W, W)]> {
+            self.0.cube_weights()
         }
     }
 
@@ -2087,7 +2419,7 @@ mod tests {
             .collect();
         let oracle = SideOracle::new(&side, &assignments, SolverKind::Dinic).unwrap();
         let weights = crate::weight::edge_weights(&side.net);
-        let count = CountWalk::new(&weights);
+        let count = CountWalk::new(&weights, (0..weights.len()).collect());
         let lanes = [0, 1, 2];
         let masses = || PartialSweep::fresh(Masses(vec![0.0; 8]), 1 << 12);
         assert_runs_change_nothing(&oracle, &count, &lanes, masses);
@@ -2095,7 +2427,7 @@ mod tests {
         assert_runs_change_nothing(&oracle, &count, &lanes, table);
         // the demand oracle's one lane over the same walk order
         let (oracle, weights) = twelve_links();
-        let count = CountWalk::new(&weights);
+        let count = CountWalk::new(&weights, (0..weights.len()).collect());
         let sums = || PartialSweep::fresh(Sums::empty(), 1 << 12);
         assert_runs_change_nothing(&oracle, &count, &[0], sums);
     }
@@ -2108,7 +2440,7 @@ mod tests {
         let fallible: Vec<usize> = [11, 0, 5, 7, 2, 9, 1, 3].to_vec();
         let some: Vec<(f64, f64)> = fallible.iter().map(|&i| weights[i]).collect();
         let gray = GrayWalk::new(&fallible, 1 << 4, 12, &some);
-        let count = CountWalk::new(&weights);
+        let count = CountWalk::new(&weights, (0..weights.len()).collect());
         fn check<K: Walk<f64>>(walk: &K) {
             let mut pos = walk.seek(0);
             for c in 0..walk.total() {
@@ -2125,7 +2457,7 @@ mod tests {
         }
         check(&gray);
         check(&count);
-        let few = CountWalk::new(&weights[..5]);
+        let few = CountWalk::new(&weights[..5], (0..5).collect());
         assert!(few.block(0, 0).is_none(), "blocks need six links");
     }
 }

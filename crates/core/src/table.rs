@@ -65,7 +65,8 @@ impl RealizationTable {
         let ones = vec![(1.0, 1.0); m];
         let fresh = PartialSweep::fresh(Masks::new(0, 1 << m), 1 << m);
         let sentinel = BudgetSentinel::unlimited();
-        let walk = CountWalk::<f64>::new(&ones);
+        // index `c` is configuration `c`: the link of index bit `j` is `j`
+        let walk = CountWalk::<f64>::new(&ones, (0..m).collect());
         let (done, stats) = drive(&*oracle, &walk, &live, cfg, &sentinel, fresh);
         debug_assert!(done.is_complete(), "unlimited sweeps always finish");
         Ok((

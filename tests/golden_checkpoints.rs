@@ -14,7 +14,8 @@ use std::path::PathBuf;
 
 use flowrel::core::{
     find_bottleneck_set, instance_fingerprint, Budget, CalcOptions, Checkpoint, CheckpointKind,
-    DecompositionPlan, FlowDemand, Outcome, PlanNode, PlanOutcome, ReliabilityCalculator, Strategy,
+    DecompositionPlan, FlowDemand, Outcome, PlanNode, PlanOutcome, ReliabilityCalculator,
+    ReliabilityError, Strategy,
 };
 use flowrel::netgraph::{GraphKind, Network, NetworkBuilder};
 use flowrel::workloads::generators::{self, BarbellParams, Instance};
@@ -63,6 +64,19 @@ fn barbell_params(cut_links: usize, seed: u64) -> BarbellParams {
 /// `flowrel generate barbell 4 2 2 2 1`.
 fn barbell() -> (Network, FlowDemand) {
     let (inst, _) = generators::barbell(barbell_params(2, 1));
+    let d = demand_of(&inst);
+    (inst.net, d)
+}
+
+/// `flowrel generate barbell 7 4 2 2 1`: the auto cut leaves 8 links on
+/// either side, more than one leaf block, so both sides walk their links
+/// nearest first and close subcubes.
+fn wide_barbell() -> (Network, FlowDemand) {
+    let (inst, _) = generators::barbell(BarbellParams {
+        cluster_nodes: 7,
+        cluster_extra_edges: 4,
+        ..barbell_params(2, 1)
+    });
     let d = demand_of(&inst);
     (inst.net, d)
 }
@@ -164,6 +178,8 @@ const DEGRADED_BITS: u64 = 0x3fef_9b44_7823_efb7;
 /// `generate barbell 4 2 2 2 1` reliability, `--strategy auto`, on the
 /// recursive and the flat (`max_depth: 0`) plan alike.
 const BARBELL_BITS: u64 = 0x3feb_f115_5831_4382;
+/// `generate barbell 7 4 2 2 1` reliability, `--strategy auto`.
+const WIDE_BARBELL_BITS: u64 = 0x3fea_a045_738c_7d76;
 /// `hub_barbell(0.15)` on its `k = 2` `DeepCut` plan.
 const HUB_BITS: u64 = 0x3fd9_4dc4_2276_62ee;
 
@@ -267,4 +283,32 @@ fn deep_cut_plan_checkpoint_is_byte_stable() {
         panic!("{name}: an unlimited resume must finish");
     };
     assert_eq!(reliability.to_bits(), HUB_BITS, "resumed to {reliability}");
+}
+
+#[test]
+fn wide_side_plan_checkpoint_is_byte_stable() {
+    let name = "auto-barbell7-300.ckpt";
+    check_run(
+        name,
+        wide_barbell(),
+        Strategy::Auto,
+        300,
+        None,
+        WIDE_BARBELL_BITS,
+    );
+    // both 8-link sides carry the nearest-first marker
+    assert_eq!(fixture(name).matches("\norder bfs\n").count(), 2);
+}
+
+#[test]
+fn side_checkpoints_written_before_the_nearest_first_order_are_refused() {
+    // the same budgeted run, written before side sweeps walked their links
+    // nearest first: its cursors count configurations in the old order
+    let text = fixture("legacy-order-barbell7-300.ckpt");
+    let err = Checkpoint::from_text(&text).unwrap_err();
+    assert!(
+        matches!(err, ReliabilityError::CheckpointMismatch { .. }),
+        "{err}"
+    );
+    assert!(err.to_string().contains("order bfs"), "{err}");
 }
