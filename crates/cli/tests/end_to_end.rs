@@ -187,6 +187,48 @@ fn side_checkpoints_from_before_the_nearest_first_order_exit_23() {
 }
 
 #[test]
+fn factoring_checkpoints_from_before_the_sweep_driver_exit_23() {
+    // `flowrel generate grid 3 3`, and the checkpoint a budgeted factoring
+    // run of it wrote before factoring ran on the sweep driver
+    let inst = workloads::generators::grid(3, 3, 1);
+    let demand = FlowDemand::new(inst.source, inst.sink, inst.demand);
+    let dir = std::env::temp_dir().join(format!("flowrel-cli-fact-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("grid.fnet");
+    std::fs::write(&path, format::serialize(&inst.net, Some(demand))).unwrap();
+    let legacy = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/golden/legacy-factoring-grid33-20.ckpt"
+    );
+    let (code, err) = flowrel(&["compute", path.to_str().unwrap(), "--resume", legacy]);
+    assert_eq!(code, Some(23), "{err}");
+    assert!(err.contains("sweep driver"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn importance_of_a_multi_state_network_exits_25() {
+    // `flowrel generate degraded-barbell 4 2 3 2 7`: importance pins binary
+    // weight pairs, which a capacity spectrum has no place for
+    let (inst, _) = workloads::generators::degraded_barbell(workloads::generators::BarbellParams {
+        cluster_nodes: 4,
+        cluster_extra_edges: 2,
+        cut_links: 3,
+        cut_capacity: 2,
+        demand: 2,
+        seed: 7,
+    });
+    let demand = FlowDemand::new(inst.source, inst.sink, inst.demand);
+    let dir = std::env::temp_dir().join(format!("flowrel-cli-degraded-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("degraded.fnet");
+    std::fs::write(&path, format::serialize(&inst.net, Some(demand))).unwrap();
+    let (code, err) = flowrel(&["importance", path.to_str().unwrap()]);
+    assert_eq!(code, Some(25), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn importance_beyond_the_link_mask_is_an_error_not_a_panic() {
     // the 71-link grid `flowrel generate grid 6 7 3` writes
     let inst = workloads::generators::grid(6, 7, 3);

@@ -5,12 +5,12 @@ use netgraph::{EdgeId, Network};
 use crate::algorithm::BottleneckReport;
 use crate::bottleneck::{find_bottleneck_set, validate_bottleneck_set, BottleneckSet};
 use crate::checkpoint::{
-    instance_fingerprint, Checkpoint, CheckpointKind, FactoringCheckpoint, NaiveCheckpoint,
-    PlanCheckpoint, PlanLeafState,
+    instance_fingerprint, Checkpoint, CheckpointKind, NaiveCheckpoint, PlanCheckpoint,
+    PlanLeafState,
 };
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
-use crate::factoring::{reliability_factoring_anytime, FactoringOutcome};
+use crate::factoring::reliability_factoring_anytime;
 use crate::naive::{reliability_naive_anytime, NaiveOutcome};
 use crate::options::CalcOptions;
 use crate::plan::{DecompositionPlan, PlanOutcome};
@@ -222,8 +222,8 @@ impl ReliabilityCalculator {
     /// With the default unlimited [`crate::budget::Budget`] this always
     /// returns [`Outcome::Complete`]. With a limit set, every exact strategy
     /// stops cooperatively and returns [`Outcome::Partial`]: the enumeration
-    /// sweeps at clean sweep cursors, the recursive decomposition planner at
-    /// plan-leaf granularity, and factoring between conditioning steps.
+    /// sweeps and factoring's walk at clean sweep cursors, and the recursive
+    /// decomposition planner at plan-leaf granularity.
     ///
     /// The bottleneck strategies (and the auto strategy's bottleneck
     /// attempt) run through the recursive decomposition planner
@@ -251,16 +251,8 @@ impl ReliabilityCalculator {
     /// Strategy dispatch on the instance exactly as given (no reduction).
     fn run_strategy(&self, net: &Network, demand: FlowDemand) -> Result<Outcome, ReliabilityError> {
         match &self.strategy {
-            Strategy::Naive => self.naive_outcome(net, demand, "naive", None),
-            Strategy::Factoring => {
-                if net.has_multistate() {
-                    // conditioning branches on binary link up/down states
-                    return Err(ReliabilityError::MultiState {
-                        operation: "the factoring (conditioning) strategy",
-                    });
-                }
-                self.factoring_outcome(net, demand, "factoring", None)
-            }
+            Strategy::Naive => self.sweep_outcome(net, demand, "naive", false, None),
+            Strategy::Factoring => self.sweep_outcome(net, demand, "factoring", true, None),
             Strategy::Bottleneck(cut) => {
                 if net.has_multistate() {
                     // an explicit split cannot be vetted against the v1
@@ -441,7 +433,7 @@ impl ReliabilityCalculator {
             });
         }
         match &checkpoint.kind {
-            CheckpointKind::Naive(ck) => self.naive_outcome(net, demand, "naive", Some(ck)),
+            CheckpointKind::Naive(ck) => self.sweep_outcome(net, demand, "naive", false, Some(ck)),
             // Flat one-level decomposition checkpoints from before the
             // recursive planner: the side cursors are the state of the one
             // `Cut` slot of the depth-0 plan on the same cut, which is
@@ -499,7 +491,7 @@ impl ReliabilityCalculator {
                 )
             }
             CheckpointKind::Factoring(ck) => {
-                self.factoring_outcome(net, demand, "factoring", Some(ck))
+                self.sweep_outcome(net, demand, "factoring", true, Some(ck))
             }
             CheckpointKind::MonteCarlo(ck) => {
                 let out = montecarlo::engine::resume(
@@ -600,57 +592,22 @@ impl ReliabilityCalculator {
         }
     }
 
-    /// Runs the budget-aware factoring engine and wraps its outcome.
-    fn factoring_outcome(
+    /// Runs the budgeted naive sweep, or with `factoring` the factoring walk,
+    /// and wraps its outcome.
+    fn sweep_outcome(
         &self,
         net: &Network,
         demand: FlowDemand,
         algorithm: &'static str,
-        resume: Option<&FactoringCheckpoint>,
-    ) -> Result<Outcome, ReliabilityError> {
-        match reliability_factoring_anytime(net, demand, &self.options, resume)? {
-            FactoringOutcome::Complete { reliability, .. } => {
-                Ok(Outcome::Complete(Box::new(ReliabilityReport {
-                    reliability,
-                    certified: true,
-                    interval: (reliability, reliability),
-                    algorithm,
-                    bottleneck: None,
-                    mc: None,
-                })))
-            }
-            FactoringOutcome::Partial {
-                r_low,
-                r_high,
-                explored,
-                checkpoint,
-            } => Ok(Outcome::Partial(Box::new(PartialReport {
-                r_low,
-                r_high,
-                certified: true,
-                explored,
-                algorithm,
-                bottleneck: None,
-                mc: None,
-                checkpoint: Checkpoint {
-                    fingerprint: instance_fingerprint(net, &demand, &self.options),
-                    reduce_shape: None,
-                    radices: net_radices(net),
-                    kind: CheckpointKind::Factoring(checkpoint),
-                },
-            }))),
-        }
-    }
-
-    /// Runs the budgeted naive sweep and wraps its outcome.
-    fn naive_outcome(
-        &self,
-        net: &Network,
-        demand: FlowDemand,
-        algorithm: &'static str,
+        factoring: bool,
         resume: Option<&NaiveCheckpoint>,
     ) -> Result<Outcome, ReliabilityError> {
-        match reliability_naive_anytime(net, demand, &self.options, resume)? {
+        let out = if factoring {
+            reliability_factoring_anytime(net, demand, &self.options, resume)?
+        } else {
+            reliability_naive_anytime(net, demand, &self.options, resume)?
+        };
+        match out {
             NaiveOutcome::Complete { reliability, .. } => {
                 Ok(Outcome::Complete(Box::new(ReliabilityReport {
                     reliability,
@@ -679,7 +636,11 @@ impl ReliabilityCalculator {
                     fingerprint: instance_fingerprint(net, &demand, &self.options),
                     reduce_shape: None,
                     radices: net_radices(net),
-                    kind: CheckpointKind::Naive(checkpoint),
+                    kind: if factoring {
+                        CheckpointKind::Factoring(checkpoint)
+                    } else {
+                        CheckpointKind::Naive(checkpoint)
+                    },
                 },
             }))),
         }
@@ -819,9 +780,9 @@ impl ReliabilityCalculator {
         if !self.options.budget.is_unlimited() || net.has_multistate() {
             // factoring is binary-only, so multi-state instances fall back to
             // the (mixed-radix) naive sweep instead
-            return self.naive_outcome(net, demand, "auto:naive", None);
+            return self.sweep_outcome(net, demand, "auto:naive", false, None);
         }
-        self.factoring_outcome(net, demand, "auto:factoring", None)
+        self.sweep_outcome(net, demand, "auto:factoring", true, None)
     }
 }
 
@@ -922,8 +883,9 @@ mod tests {
     fn budgeted_run_yields_partial_and_resume_finishes() {
         let (barbell, barbell_d) = barbell();
         let (k6, k6_d) = complete_graph(6, 0.2);
-        // factoring narrows its interval only when a conditioning frame
-        // resolves (first at the sixth frame on K6), so it gets more a run
+        // factoring narrows its interval only once a block closes or a leaf
+        // configuration is found feasible; K6 keeps the 8 checks a run it
+        // had as 8 conditioning frames, and narrows in its first run
         for (strategy, net, d, max_configs) in [
             (Strategy::Naive, &barbell, barbell_d, 2),
             (

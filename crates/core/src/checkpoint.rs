@@ -163,19 +163,6 @@ pub struct PlanCheckpoint {
     pub leaves: Vec<PlanLeafState>,
 }
 
-/// Checkpoint of an interrupted budgeted factoring (conditioning) run
-/// ([`crate::factoring::reliability_factoring_anytime`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct FactoringCheckpoint {
-    /// `(sum, compensation)` of the feasible-mass Neumaier accumulator.
-    pub accum: (f64, f64),
-    /// Conditioning leaves resolved so far.
-    pub leaves: u64,
-    /// Unresolved `(alive, undecided)` subtree frames, in the exact order
-    /// the uninterrupted depth-first conditioning would visit them.
-    pub pending: Vec<(u64, u64)>,
-}
-
 /// Algorithm-specific checkpoint payload.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CheckpointKind {
@@ -197,8 +184,10 @@ pub enum CheckpointKind {
     MonteCarlo(montecarlo::McCheckpoint),
     /// Interrupted recursive-plan execution ([`crate::plan`]).
     Plan(PlanCheckpoint),
-    /// Interrupted budgeted factoring (conditioning) run.
-    Factoring(FactoringCheckpoint),
+    /// Interrupted budgeted factoring run
+    /// ([`crate::factoring::reliability_factoring_anytime`]): a naive sweep
+    /// state over factoring's walk.
+    Factoring(NaiveCheckpoint),
 }
 
 /// A resumable snapshot of an interrupted calculation.
@@ -433,18 +422,9 @@ impl Checkpoint {
                     }
                 }
             }
-            CheckpointKind::Factoring(fc) => {
+            CheckpointKind::Factoring(n) => {
                 out.push_str("kind factoring\n");
-                out.push_str(&format!(
-                    "accum {:016x} {:016x}\n",
-                    fc.accum.0.to_bits(),
-                    fc.accum.1.to_bits()
-                ));
-                out.push_str(&format!("leafcount {}\n", fc.leaves));
-                out.push_str(&format!("pending {}\n", fc.pending.len()));
-                for &(alive, undecided) in &fc.pending {
-                    out.push_str(&format!("frame {alive:x} {undecided:x}\n"));
-                }
+                write_naive_body(&mut out, n);
             }
         }
         out
@@ -610,27 +590,13 @@ impl Checkpoint {
                 })
             }
             Some("factoring") => {
-                let accum = read_f64_pair(&mut lines, "accum")?;
-                let leaves = parse(
-                    field(&mut lines, "leafcount")?.first(),
-                    "factoring leaf count",
-                )?;
-                let pn: usize = parse(field(&mut lines, "pending")?.first(), "pending count")?;
-                let mut pending = Vec::new();
-                for _ in 0..pn {
-                    let fr = field(&mut lines, "frame")?;
-                    let alive = parse_hex(fr.first(), "frame alive mask")?;
-                    let undecided = parse_hex(fr.get(1), "frame undecided mask")?;
-                    if alive & undecided != 0 {
-                        return Err(bad("frame alive and undecided masks overlap"));
-                    }
-                    pending.push((alive, undecided));
+                if field(&mut lines.clone(), "accum").is_ok() {
+                    return Err(bad(
+                        "factoring checkpoint holds a conditioning frame stack: it was written \
+                         before factoring ran on the sweep driver, and cannot be resumed",
+                    ));
                 }
-                CheckpointKind::Factoring(FactoringCheckpoint {
-                    accum,
-                    leaves,
-                    pending,
-                })
+                CheckpointKind::Factoring(read_naive_body(&mut lines)?)
             }
             _ => return Err(bad("unknown checkpoint kind")),
         };
@@ -1245,41 +1211,47 @@ mod tests {
         assert_eq!(ck.to_text(), legacy, "MC-free round trip is byte-exact");
     }
 
-    #[test]
-    fn factoring_round_trip_is_exact() {
-        let ck = Checkpoint {
+    /// [`naive_checkpoint`]'s sweep state as a factoring checkpoint.
+    fn factoring_checkpoint() -> Checkpoint {
+        let CheckpointKind::Naive(n) = naive_checkpoint().kind else {
+            unreachable!("a naive fixture");
+        };
+        Checkpoint {
             fingerprint: 99,
             reduce_shape: None,
             radices: None,
-            kind: CheckpointKind::Factoring(FactoringCheckpoint {
-                accum: (0.98765, -0.0),
-                leaves: 1234,
-                pending: vec![(0b1010, 0b0101), (0, u64::MAX >> 1)],
-            }),
-        };
-        let back = Checkpoint::from_text(&ck.to_text()).unwrap();
-        assert_eq!(back, ck);
-        let CheckpointKind::Factoring(fc) = &back.kind else {
-            panic!("kind must survive the round trip");
-        };
-        assert_eq!(fc.accum.1.to_bits(), (-0.0f64).to_bits());
+            kind: CheckpointKind::Factoring(n),
+        }
     }
 
     #[test]
-    fn factoring_rejects_overlapping_frame_masks() {
-        let text = Checkpoint {
-            fingerprint: 1,
-            reduce_shape: None,
-            radices: None,
-            kind: CheckpointKind::Factoring(FactoringCheckpoint {
-                accum: (0.0, 0.0),
-                leaves: 0,
-                pending: vec![(0b11, 0b100)],
-            }),
-        }
-        .to_text()
-        .replace("frame 3 4", "frame 3 7");
-        assert!(Checkpoint::from_text(&text).is_err());
+    fn factoring_round_trip_is_exact() {
+        let mut ck = factoring_checkpoint();
+        let CheckpointKind::Factoring(n) = &mut ck.kind else {
+            unreachable!("a factoring fixture");
+        };
+        n.explored.1 = -0.0;
+        let text = ck.to_text();
+        assert!(text.contains("\nkind factoring\ncursor 1000 2\n"), "{text}");
+        let back = Checkpoint::from_text(&text).unwrap();
+        assert_eq!(back, ck);
+        let CheckpointKind::Factoring(n) = &back.kind else {
+            panic!("kind must survive the round trip");
+        };
+        assert_eq!(n.explored.1.to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn factoring_checkpoints_of_the_conditioning_frame_stack_are_refused() {
+        let legacy = "flowrel-checkpoint v1\nfingerprint 0000000000000063\nkind factoring\n\
+                      accum 3fc017dcf8d3293a 3c70800000000000\nleafcount 6\npending 1\n\
+                      frame 0 ffe\n";
+        let err = Checkpoint::from_text(legacy).unwrap_err();
+        assert!(
+            matches!(&err, ReliabilityError::CheckpointMismatch { reason }
+                if reason.contains("before factoring ran on the sweep driver")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1300,17 +1272,7 @@ mod tests {
         let plan = plan_checkpoint().to_text();
         let naive = naive_checkpoint().to_text();
         let sides = bottleneck_checkpoint().to_text();
-        let factoring = Checkpoint {
-            fingerprint: 99,
-            reduce_shape: None,
-            radices: None,
-            kind: CheckpointKind::Factoring(FactoringCheckpoint {
-                accum: (0.5, 0.0),
-                leaves: 3,
-                pending: vec![(0b10, 0b01), (0, 0b11)],
-            }),
-        }
-        .to_text();
+        let factoring = factoring_checkpoint().to_text();
         let strata = mc_checkpoint(montecarlo::McAccum::Strata {
             counts: vec![(1, 2), (3, 4), (5, 6)],
         })
@@ -1322,7 +1284,7 @@ mod tests {
             (&plan, "shares 5", "shares {n}"),
             (&plan, "leaves 5", "leaves {n}"),
             (&plan, "root-cut 2 3 9", "root-cut {n} 3 9"),
-            (&factoring, "pending 2", "pending {n}"),
+            (&factoring, "cursor 1000 2", "cursor 1000 {n}"),
             (&strata, "mc-accum strata 3", "mc-accum strata {n}"),
             (&strata, "mc-strata 2 3 0", "mc-strata {n} 3 0"),
             (&naive, "cursor 1000 2", "cursor 1000 {n}"),

@@ -11,7 +11,10 @@
 //!
 //! Computed exactly with two conditioned factoring runs per link (conditioning
 //! is just pinning the link's weight pair), each run to completion by the
-//! same body as [`crate::factoring::reliability_factoring`].
+//! same body as [`crate::factoring::reliability_factoring`]: a walk on the
+//! sweep driver, with its certificate cache, closed subcubes and, under
+//! [`CalcOptions::parallel`], fan-out. Like factoring, it refuses
+//! multi-state networks.
 
 use netgraph::Network;
 

@@ -24,18 +24,23 @@
 //!   planner runs as a [`PlanNode::Bridge`] and [`Strategy::BottleneckAuto`]
 //!   with `max_k: 1` selects;
 //! * [`factoring::reliability_factoring`] — classic conditioning with
-//!   flow-based pruning, an additional exact comparator;
+//!   flow-based pruning, an additional exact comparator, run as a walk
+//!   (nearest the terminals first) on the sweep driver that closes the
+//!   subcubes its two bounds decide;
 //! * [`calculator::ReliabilityCalculator`] — picks a strategy automatically
 //!   and reports what it did.
 //!
-//! The naive sweep and the split body are generic over the
-//! [`weight::Weight`] abstraction and run in `f64` (with compensated
-//! summation in the naive sweep) and in exact [`exactmath::BigRational`]
-//! ([`naive::reliability_naive_exact`],
+//! Every exact enumeration except the reliability polynomial's runs through
+//! the one sweep driver ([`sweep`]). The naive sweep and the split body are
+//! generic over the [`weight::Weight`] abstraction and run in `f64` (with
+//! compensated summation in the naive sweep and factoring) and in exact
+//! [`exactmath::BigRational`] ([`naive::reliability_naive_exact`],
 //! [`algorithm::reliability_bottleneck_exact`]), so the exact form validates
 //! the float form down to the last operation. The plan interpreter's own
-//! combinators (bridges, peels, interval combination) and factoring are
-//! `f64` only; tests validate them against the exact naive sweep.
+//! combinators (bridges, peels, interval combination) are `f64` only, and
+//! factoring's public entry points too; tests validate them against the
+//! exact naive sweep, factoring's walk at [`exactmath::BigRational`] as
+//! well.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,13 +85,13 @@ pub use bounds::{enumerate_minimal_cuts, enumerate_simple_paths, esary_proschan_
 pub use budget::{Budget, BudgetSentinel, CancelToken};
 pub use calculator::{Outcome, PartialReport, ReliabilityCalculator, ReliabilityReport, Strategy};
 pub use checkpoint::{
-    instance_fingerprint, Checkpoint, CheckpointKind, FactoringCheckpoint, NaiveCheckpoint,
-    PlanCheckpoint, PlanLeafState, SideCheckpoint, SweepCursor,
+    instance_fingerprint, Checkpoint, CheckpointKind, NaiveCheckpoint, PlanCheckpoint,
+    PlanLeafState, SideCheckpoint, SweepCursor,
 };
 pub use decompose::{decompose, Decomposition, Side};
 pub use demand::FlowDemand;
 pub use error::ReliabilityError;
-pub use factoring::{reliability_factoring, reliability_factoring_anytime, FactoringOutcome};
+pub use factoring::{reliability_factoring, reliability_factoring_anytime};
 pub use fnet::NetFile;
 pub use importance::{birnbaum_importance, LinkImportance};
 pub use maxflow::{CertCache, SolveCert};

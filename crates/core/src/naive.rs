@@ -175,11 +175,12 @@ pub fn reliability_naive_anytime_on(
     sweep_settled(&mut oracle, &walk, demand, opts, sentinel, resume)
 }
 
-/// The resume-and-settle frame shared by the binary and mixed-radix sweeps:
-/// answers the trivial demands without sweeping, checks a checkpoint against
-/// this instance's walk, sweeps from it, and turns the sums into an outcome
-/// with certified bounds.
-fn sweep_settled<K: Walk<f64>>(
+/// The resume-and-settle frame shared by the binary and mixed-radix sweeps
+/// and by factoring's walk ([`crate::factoring`]): answers the trivial
+/// demands without sweeping, checks a checkpoint against this instance's
+/// walk, sweeps from it, and turns the sums into an outcome with certified
+/// bounds.
+pub(crate) fn sweep_settled<K: Walk<f64>>(
     oracle: &mut DemandOracle,
     walk: &K,
     demand: FlowDemand,
@@ -336,7 +337,11 @@ fn reliability_naive_mixed_on(
 /// deterministic exact paths stay deterministic, with certificate caching
 /// still honored (a cache hit is the verdict the solver would return, and
 /// skipping a solve never perturbs exact arithmetic).
-fn exact_sum<W: Weight, K: Walk<W>>(oracle: &DemandOracle, walk: &K, opts: &CalcOptions) -> W {
+pub(crate) fn exact_sum<W: Weight, K: Walk<W>>(
+    oracle: &DemandOracle,
+    walk: &K,
+    opts: &CalcOptions,
+) -> W {
     let cfg = SweepConfig {
         parallel: false,
         ..SweepConfig::from_opts(opts)

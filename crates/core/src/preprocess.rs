@@ -11,7 +11,8 @@
 //! This shrinks the enumeration *exponent*: a network with 40 links of which
 //! 12 dangle off the delivery paths becomes a 28-link instance with the
 //! identical reliability. [`crate::naive::reliability_naive`] and
-//! [`crate::factoring::reliability_factoring`] apply it automatically.
+//! [`crate::factoring::reliability_factoring`] apply it automatically;
+//! factoring then enumerates every remaining link, `p(e) = 0` ones too.
 
 use netgraph::{Adjacency, BitSet, GraphKind, Network, NodeId};
 

@@ -41,7 +41,9 @@ use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::{CalcOptions, MAX_CUT_EDGES, MAX_SIDE_EDGES};
 use crate::oracle::SideOracle;
-use crate::sweep::{drive, CountWalk, Masses, PartialSweep, SweepConfig, SweepStats, LEAF_LINKS};
+use crate::sweep::{
+    drive, nearest_first, CountWalk, Masses, PartialSweep, SweepConfig, SweepStats,
+};
 use crate::weight::{EdgeWeights, Weight};
 
 /// Probability mass of each realization mask for one side.
@@ -120,50 +122,14 @@ pub(crate) fn check_side_edges(m: usize, max: usize) -> Result<(), ReliabilityEr
     Ok(())
 }
 
-/// The link of each index bit of `side`'s counting walk. A side of more
-/// than [`LEAF_LINKS`] links, more than one leaf block of the sweep, puts
-/// the link nearest the terminals (BFS hops from the demand terminal and
-/// the attach points, over links either way, ties broken by link index) on
-/// the highest bit and the farthest ones on the lowest, so the sweep's
-/// aligned blocks fix the near links and leave the far ones free, and a
-/// block splits on its nearest free link first. A smaller side keeps
-/// index = configuration: it is one leaf block, swept as before the order
-/// existed, so its checkpoints keep their bytes.
+/// The link of each index bit of `side`'s counting walk: nearest the demand
+/// terminal and the attach points first ([`nearest_first`]). A side of at
+/// most [`LEAF_LINKS`](crate::sweep::LEAF_LINKS) links keeps index =
+/// configuration: it is one leaf block, swept as before the order existed,
+/// so its checkpoints keep their bytes.
 pub(crate) fn side_order(side: &Side) -> Vec<usize> {
-    let edges = side.net.edges();
-    if edges.len() <= LEAF_LINKS {
-        return (0..edges.len()).collect();
-    }
-    let mut adj = vec![Vec::new(); side.net.node_count()];
-    for e in edges {
-        adj[e.src.index()].push(e.dst.index());
-        adj[e.dst.index()].push(e.src.index());
-    }
-    let mut hops = vec![usize::MAX; adj.len()];
-    let mut queue = std::collections::VecDeque::new();
-    for n in std::iter::once(side.terminal).chain(side.attach.iter().copied()) {
-        if hops[n.index()] != 0 {
-            hops[n.index()] = 0;
-            queue.push_back(n.index());
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        for &v in &adj[u] {
-            if hops[v] == usize::MAX {
-                hops[v] = hops[u] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    let mut order: Vec<usize> = (0..edges.len()).collect();
-    order.sort_by_key(|&i| {
-        (
-            hops[edges[i].src.index()].min(hops[edges[i].dst.index()]),
-            i,
-        )
-    });
-    order.reverse();
-    order
+    let starts = std::iter::once(side.terminal).chain(side.attach.iter().copied());
+    nearest_first(&side.net, starts)
 }
 
 /// Sweeps one side's realization spectrum against `assignments` under

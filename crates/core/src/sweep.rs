@@ -13,9 +13,10 @@
 //!     naive sweep, with perfect links pinned alive;
 //!   - `MixedWalk`, the mixed-radix reflected Gray code of a multi-state
 //!     naive sweep (one tranche arc flips per step);
-//!   - `CountWalk`, plain counting over a side's own links in a fixed link
-//!     order (nearest the terminals on the highest bit for sides of more
-//!     than six links), the order side checkpoints index;
+//!   - `CountWalk`, plain counting over a side's own links, or over every
+//!     link of a factoring run, in a fixed link order (`nearest_first`:
+//!     nearest the terminals on the highest bit once there are more than six
+//!     links), the order side and factoring checkpoints index;
 //! - a **visitor** (`Visitor`), what is accumulated per configuration:
 //!   - `Sums`, the feasible and explored probability sums;
 //!   - `Masses`, the spectrum mass per realization mask;
@@ -60,12 +61,13 @@
 //!    pieces; each rayon worker owns a *clone* of the oracle, its own caches,
 //!    and a forked visitor, merged in piece order at the end.
 //!
-//! 4. **Subcube closure** (walks with [`Walk::cube_weights`], the side
-//!    spectra's `CountWalk`): every aligned block of `2^j` indices is a
-//!    subcube whose free links are the low `j` index bits. Feasibility is
-//!    monotone in the alive set, so a lane feasible with every free link down
-//!    (the block's bottom) or infeasible with every free link up (its top)
-//!    is constant on the block. `drive` takes each range as maximal
+//! 4. **Subcube closure** (walks with [`Walk::cube_weights`], the
+//!    `CountWalk` of side spectra and of factoring): every aligned block of
+//!    `2^j` indices is a subcube whose free links are the low `j` index
+//!    bits. Feasibility is monotone in the alive set, so a lane feasible
+//!    with every free link down (the block's bottom) or infeasible with
+//!    every free link up (its top) is constant on the block: factoring's two
+//!    bounds per conditioning subtree. `drive` takes each range as maximal
 //!    aligned blocks. A block of more than [`LEAF`] configurations tests each
 //!    undecided lane at the extremes it does not share with its parent (both,
 //!    for a piece of a range; one new configuration per lane for a half),
@@ -73,7 +75,7 @@
 //!    gets the block's mass — the product of its fixed links' weights, in
 //!    ascending bit order — in one step. Otherwise the block splits in two.
 //!    Leaf blocks test no extremes and run the per-configuration loop above
-//!    for the lanes still undecided. A side of at most six links is one leaf
+//!    for the lanes still undecided. A walk of at most six links is one leaf
 //!    with every lane undecided: exactly the walk without closure. Closure
 //!    decides from exact verdicts only, so the blocks a sweep closes, and
 //!    with them every mass, do not depend on the cache or the warm flow.
@@ -114,7 +116,7 @@
 
 use exactmath::NeumaierSum;
 use maxflow::{Block, BlockOrder, CertCache, RepairStats, SolveCert, CERTIFICATE_CACHE_SIZE};
-use netgraph::{EdgeMask, StateExpansion};
+use netgraph::{EdgeMask, Network, NodeId, StateExpansion};
 use rayon::prelude::*;
 
 use crate::budget::BudgetSentinel;
@@ -816,6 +818,50 @@ impl<W: Weight> CountWalk<W> {
             low,
         }
     }
+}
+
+/// The link of each index bit of a [`CountWalk`] over `net`'s links that
+/// walks them nearest the `starts` first: a link is as many BFS hops from
+/// the start nodes as its nearer end (over links either way), ties go by
+/// link index, and the nearest link takes the highest bit. The walk's
+/// aligned blocks then fix the near links and leave the far ones free, and
+/// a block splits on its nearest free link first. A walk of at most
+/// [`LEAF_LINKS`] links is one leaf block and keeps index = configuration.
+pub(crate) fn nearest_first(net: &Network, starts: impl IntoIterator<Item = NodeId>) -> Vec<usize> {
+    let edges = net.edges();
+    if edges.len() <= LEAF_LINKS {
+        return (0..edges.len()).collect();
+    }
+    let mut adj = vec![Vec::new(); net.node_count()];
+    for e in edges {
+        adj[e.src.index()].push(e.dst.index());
+        adj[e.dst.index()].push(e.src.index());
+    }
+    let mut hops = vec![usize::MAX; adj.len()];
+    let mut queue = std::collections::VecDeque::new();
+    for n in starts {
+        if hops[n.index()] != 0 {
+            hops[n.index()] = 0;
+            queue.push_back(n.index());
+        }
+    }
+    while let Some(u) = queue.pop_front() {
+        for &v in &adj[u] {
+            if hops[v] == usize::MAX {
+                hops[v] = hops[u] + 1;
+                queue.push_back(v);
+            }
+        }
+    }
+    let mut order: Vec<usize> = (0..edges.len()).collect();
+    order.sort_by_key(|&i| {
+        (
+            hops[edges[i].src.index()].min(hops[edges[i].dst.index()]),
+            i,
+        )
+    });
+    order.reverse();
+    order
 }
 
 /// The edge bits of index `c` when index bit `j` is link `order[j]`.

@@ -42,9 +42,19 @@ fn grid33() -> (Network, FlowDemand) {
 
 /// `flowrel generate barbell 4 2 2 2 1`.
 fn barbell() -> (Network, FlowDemand) {
+    barbell_of(4, 2)
+}
+
+/// `flowrel generate barbell 7 4 2 2 1`: two 8-link sides.
+fn wide_barbell() -> (Network, FlowDemand) {
+    barbell_of(7, 4)
+}
+
+/// `flowrel generate barbell N X 2 2 1`.
+fn barbell_of(cluster_nodes: usize, cluster_extra_edges: usize) -> (Network, FlowDemand) {
     let (inst, _) = generators::barbell(BarbellParams {
-        cluster_nodes: 4,
-        cluster_extra_edges: 2,
+        cluster_nodes,
+        cluster_extra_edges,
         cut_links: 2,
         cut_capacity: 2,
         demand: 2,
@@ -90,6 +100,17 @@ fn refuse_naive(edit: impl FnOnce(&mut NaiveCheckpoint)) {
     assert_refused(Strategy::Naive, &net, d, ck);
 }
 
+/// A factoring grid checkpoint at 200 checks, edited by `edit`.
+fn refuse_factoring(edit: impl FnOnce(&mut NaiveCheckpoint)) {
+    let (net, d) = grid33();
+    let mut ck = interrupted(&calc(Strategy::Factoring, Some(200)), &net, d);
+    let CheckpointKind::Factoring(n) = &mut ck.kind else {
+        panic!("a factoring run writes a factoring checkpoint");
+    };
+    edit(n);
+    assert_refused(Strategy::Factoring, &net, d, ck);
+}
+
 /// An auto barbell checkpoint at 40 configurations — one cut leaf whose
 /// source side stopped partway — with that side edited by `edit`.
 fn refuse_side(edit: impl FnOnce(&mut SideCheckpoint)) {
@@ -123,6 +144,16 @@ fn naive_sums_outside_the_unit_interval_are_refused() {
         n.feasible = (-0.5, 0.0);
         n.explored = (-0.25, 0.0);
     });
+}
+
+/// Factoring's sums are checked as naive ones are. Unchecked, a factoring
+/// checkpoint whose sum read 2.0 resumed the grid to a "certified" 1.0 (the
+/// truth is 0.926872735139).
+#[test]
+fn factoring_sums_no_run_could_write_are_refused() {
+    refuse_factoring(|n| n.feasible = (2.0, 0.0));
+    refuse_factoring(|n| n.feasible = (n.explored.0 + 1e-3, n.explored.1));
+    refuse_factoring(|n| n.explored = (f64::NAN, 0.0));
 }
 
 #[test]
@@ -246,6 +277,8 @@ fn golden_fixtures() -> Vec<(&'static str, String, Network, FlowDemand)> {
         ("auto-barbell-40.ckpt", barbell()),
         ("auto-barbell-flat-40.ckpt", barbell()),
         ("deepcut-hub-barbell-2.ckpt", hub_barbell()),
+        ("auto-barbell7-300.ckpt", wide_barbell()),
+        ("factoring-grid33-200.ckpt", grid33()),
     ];
     named
         .into_iter()

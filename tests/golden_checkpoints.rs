@@ -171,7 +171,8 @@ fn check_run(
     );
 }
 
-/// `generate grid 3 3` reliability, `--strategy naive`.
+/// `generate grid 3 3` reliability, `--strategy naive` and `--strategy
+/// factoring` alike.
 const GRID_BITS: u64 = 0x3fed_a8f1_029f_3611;
 /// `generate degraded-barbell 4 2 3 2 7` reliability, `--strategy naive`.
 const DEGRADED_BITS: u64 = 0x3fef_9b44_7823_efb7;
@@ -311,4 +312,25 @@ fn side_checkpoints_written_before_the_nearest_first_order_are_refused() {
         "{err}"
     );
     assert!(err.to_string().contains("order bfs"), "{err}");
+}
+
+#[test]
+fn factoring_grid_checkpoint_is_byte_stable() {
+    // 12 links: the walk's blocks above 64 configurations close
+    let name = "factoring-grid33-200.ckpt";
+    check_run(name, grid33(), Strategy::Factoring, 200, None, GRID_BITS);
+    assert!(fixture(name).contains("\nkind factoring\ncursor 1000 1\n"));
+}
+
+#[test]
+fn factoring_checkpoints_written_before_the_sweep_driver_are_refused() {
+    // `generate grid 3 3` at `--strategy factoring --max-configs 20`, written
+    // before factoring ran on the sweep driver: its frames are no cursor
+    let text = fixture("legacy-factoring-grid33-20.ckpt");
+    let err = Checkpoint::from_text(&text).unwrap_err();
+    assert!(
+        matches!(err, ReliabilityError::CheckpointMismatch { .. }),
+        "{err}"
+    );
+    assert!(err.to_string().contains("sweep driver"), "{err}");
 }
